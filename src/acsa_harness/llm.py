@@ -15,7 +15,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
@@ -75,6 +75,8 @@ class ChatRequest:
     system: str
     user: str
     params: DecodeParams = DecodeParams()
+    # sha256 of canonical_json(), set by the first cache_key access
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def canonical_json(self) -> str:
         payload = {
@@ -91,7 +93,13 @@ class ChatRequest:
 
     @property
     def cache_key(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        """Hashed once per instance; threads racing on the first access
+        compute the same digest, so either write is correct."""
+        key = self._key
+        if key is None:
+            key = hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_key", key)
+        return key
 
 
 @dataclass(frozen=True)
@@ -235,12 +243,11 @@ class ReplayBackend:
         self.fixture_dir = Path(fixture_dir)
 
     def complete(self, request: ChatRequest) -> str:
-        path = self.fixture_dir / f"{request.cache_key}.json"
+        key = request.cache_key
+        path = self.fixture_dir / f"{key}.json"
         if not path.exists():
-            raise MissingFixture(
-                f"no fixture for request hash {request.cache_key} in {self.fixture_dir}"
-            )
-        return read_cache_file(path, request.cache_key)
+            raise MissingFixture(f"no fixture for request hash {key} in {self.fixture_dir}")
+        return read_cache_file(path, key)
 
 
 class ChatClient:

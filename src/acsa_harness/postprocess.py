@@ -9,6 +9,7 @@ cannot be mapped. Every mapping decision is kept for audit.
 from __future__ import annotations
 
 import difflib
+from collections import Counter
 from dataclasses import dataclass
 
 from .datasets import Pair, Polarity
@@ -164,21 +165,22 @@ def extract_pair_list(raw_output: str) -> list[RawPair]:
     """Extract the last well-formed list of pairs from arbitrary text.
 
     Chain-of-thought outputs end with the final answer, so the last
-    occurrence wins. An explicit ``[]`` yields an empty list; no
-    well-formed list at all raises NoListFound.
+    occurrence wins: ``[`` positions are tried from the end of the text
+    and the first one that starts a well-formed list is taken, which is
+    the list with the highest start of all that parse. An explicit ``[]``
+    yields an empty list; no well-formed list at all raises NoListFound.
     """
-    found: list[tuple[str, str]] | None = None
-    for start, ch in enumerate(raw_output):
-        if ch != "[":
-            continue
+    start = raw_output.rfind("[")
+    while start >= 0:
         result = _scan_list(raw_output, start)
         if result is not None:
-            found = result[0]
-    if found is None:
+            break
+        start = raw_output.rfind("[", 0, start)
+    else:
         raise NoListFound("no well-formed list of (category, polarity) tuples in output")
     return [
         RawPair(cat.strip(), pol.strip())
-        for cat, pol in found
+        for cat, pol in result[0]
         if cat.strip() and pol.strip()
     ]
 
@@ -205,12 +207,43 @@ def _fold(s: str) -> str:
     return " ".join(s.split()).casefold()
 
 
-def _best_category(candidate: str, inventory) -> tuple[str | None, float]:
+def _fold_inventory(inventory) -> list[tuple[str, str, tuple[tuple[str, int], ...]]]:
+    """Each entry with its folded spelling and that spelling's character counts."""
+    folded = [(entry, _fold(entry)) for entry in inventory]
+    return [(entry, text, tuple(Counter(text).items())) for entry, text in folded]
+
+
+def _best_category(candidate: str, entries) -> tuple[str | None, float]:
+    """The earliest entry with the highest similarity, and that similarity.
+
+    ``entries`` comes from ``_fold_inventory``. The search is
+    bound-pruned: before an entry is scored, two upper bounds on its
+    ratio 2*M/(|a|+|b|) are checked, M <= min(|a|,|b|) (difflib's
+    real_quick_ratio) and M <= the size of the two strings' common
+    character multiset (quick_ratio). Each bound uses the ratio's own
+    float expression, so it is never below the ratio. Only a strictly
+    greater score replaces the best, so an entry whose bound is <= the
+    best score so far could not win and is skipped: the chosen entry,
+    its score and the earliest-position tie-break are exactly those of
+    scoring every entry.
+    """
     folded = _fold(candidate)
+    size = len(folded)
+    available = Counter(folded).get
     best: str | None = None
     best_score = -1.0
-    for entry in inventory:  # strictly-greater keeps the earliest on ties
-        score = similarity(folded, _fold(entry))
+    for entry, text, counts in entries:
+        total = size + len(text)
+        if total:  # two empty strings score 1.0, so are never pruned
+            if 2.0 * min(size, len(text)) / total <= best_score:
+                continue
+            common = 0
+            for ch, n in counts:
+                have = available(ch, 0)
+                common += n if n < have else have
+            if 2.0 * common / total <= best_score:
+                continue
+        score = similarity(folded, text)
         if score > best_score:
             best, best_score = entry, score
     return best, max(best_score, 0.0)
@@ -227,7 +260,7 @@ def map_category(candidate: str, inventory, cutoff: float = DEFAULT_CUTOFF):
         raise ValueError("inventory must not be empty")
     if not 0.0 <= cutoff <= 1.0:
         raise ValueError(f"cutoff must be in [0, 1], got {cutoff}")
-    best, score = _best_category(candidate, inventory)
+    best, score = _best_category(candidate, _fold_inventory(inventory))
     if best is not None and score >= cutoff:
         return best
     return None
@@ -259,10 +292,11 @@ def canonicalize(
     """
     if not 0.0 <= cutoff <= 1.0:
         raise ValueError(f"cutoff must be in [0, 1], got {cutoff}")
+    entries = _fold_inventory(inventory)
     outcomes: list[MappingOutcome] = []
     mapped: list[Pair] = []
     for raw in raw_pairs:
-        entry, score = _best_category(raw.category_text, inventory)
+        entry, score = _best_category(raw.category_text, entries)
         if entry is None or score < cutoff:
             outcomes.append(MappingOutcome(raw, None, score, "below-cutoff"))
             continue

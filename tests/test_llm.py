@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 
@@ -61,6 +62,15 @@ class TestRequestHashing:
         assert base.cache_key != make_request(user="other").cache_key
         assert base.cache_key != ChatRequest("m2", "system text", "hello", base.params).cache_key
         assert base.cache_key != make_request(temperature=0.5).cache_key
+
+    def test_cache_key_is_hashed_once_and_not_compared(self):
+        request = make_request()
+        key = request.cache_key
+        assert key == hashlib.sha256(request.canonical_json().encode("utf-8")).hexdigest()
+        assert request.cache_key is key  # stored, not recomputed
+        fresh = make_request()  # key not yet computed
+        assert fresh == request and hash(fresh) == hash(request)
+        assert "_key" not in repr(request)
 
     def test_greedy_preset(self):
         params = DecodeParams.greedy()

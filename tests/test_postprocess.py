@@ -1,6 +1,9 @@
+import itertools
 import json
 import random
 import string
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +19,9 @@ from acsa_harness.postprocess import (
     canonicalize,
     extract_pair_list,
     map_category,
+    _best_category,
+    _fold_inventory,
+    _scan_list,
     normalize_polarity,
     similarity,
 )
@@ -36,6 +42,73 @@ RESTAURANT_INVENTORY = [
     "RESTAURANT#PRICES",
     "SERVICE#GENERAL",
 ]
+
+
+LAPTOP_STYLE_INVENTORY = [
+    f"{entity}#{attribute}"
+    for entity, attribute in itertools.product(
+        (
+            "LAPTOP", "DISPLAY", "KEYBOARD", "MOUSE", "MOTHERBOARD", "CPU", "FANS_COOLING",
+            "PORTS", "MEMORY", "POWER_SUPPLY", "OPTICAL_DRIVES", "BATTERY", "GRAPHICS",
+            "HARD_DISC", "MULTIMEDIA_DEVICES", "HARDWARE", "SOFTWARE",
+        ),
+        ("GENERAL", "PRICE", "QUALITY", "OPERATION_PERFORMANCE"),
+    )
+][:67]
+
+
+def _reference_best_category(candidate, inventory):
+    """The exhaustive search: score every entry, keep the first maximum."""
+
+    def fold(s):
+        return " ".join(s.split()).casefold()
+
+    folded = fold(candidate)
+    best = None
+    best_score = -1.0
+    for entry in inventory:
+        score = similarity(folded, fold(entry))
+        if score > best_score:
+            best, best_score = entry, score
+    return best, max(best_score, 0.0)
+
+
+def _reference_extract(raw_output):
+    """The forward scan: try every '[' and keep the last list that parses."""
+    found = None
+    for start, ch in enumerate(raw_output):
+        if ch == "[":
+            result = _scan_list(raw_output, start)
+            if result is not None:
+                found = result[0]
+    if found is None:
+        raise NoListFound("reference")
+    return [RawPair(c.strip(), p.strip()) for c, p in found if c.strip() and p.strip()]
+
+
+def _typo(rng, text):
+    if len(text) < 3:
+        return text + rng.choice("xyz")
+    i = rng.randrange(1, len(text) - 1)
+    roll = rng.random()
+    if roll < 0.4:
+        return text[:i] + text[i + 1 :]
+    if roll < 0.8:
+        return text[: i - 1] + text[i] + text[i - 1] + text[i + 1 :]
+    return text[:i] + rng.choice(string.ascii_lowercase) + text[i:]
+
+
+def _laptop_style_candidate(rng):
+    roll = rng.random()
+    if roll < 0.15:
+        return "".join(rng.choice(string.ascii_lowercase + " ") for _ in range(rng.randrange(0, 30)))
+    text = rng.choice(LAPTOP_STYLE_INVENTORY)
+    text = text.replace("#", rng.choice(("#", " ", "_", "-", " / ")))
+    if rng.random() < 0.5:
+        text = text.replace("_", rng.choice(("_", " ", "")))
+    for _ in range(rng.randrange(0, 3)):
+        text = _typo(rng, text)
+    return rng.choice((str.lower, str.upper, str.title, str))(text)
 
 
 def _load_cases():
@@ -71,6 +144,71 @@ class TestExtractPairList:
             extract_pair_list("")
         with pytest.raises(NoListFound):
             extract_pair_list("nothing here [ or here")
+
+
+class TestExtractMatchesForwardScan:
+    """The reverse scan returns what trying every '[' and keeping the
+    last list that parses returns, including NoListFound."""
+
+    FRAGMENTS = (
+        "[('FOOD#QUALITY', 'positive')]",
+        "[('a[b', 'negative'), (\"x]y[\", 'neutral')]",
+        "[('service', 'neutral'), ('price', 'negative'),]",
+        "[ ( 'menu' , 'positive' , ) ,\n ... ]",
+        "[]",
+        "[('truncated', 'posi",
+        "[('open', 'positive'),",
+        "[(",
+        "[[",
+        "[x]",
+        "[1, 2, 3]",
+        "['a', 'b']",
+        "[('multi\nline', 'positive')]",
+        " [",
+        "]",
+        "Step 1: reason about [the review]. ",
+        " so the answer is: ",
+        "\n",
+        "(('tuple', 'not list'))",
+        "'",
+        '"',
+    )
+
+    def _text(self, rng):
+        return "".join(rng.choice(self.FRAGMENTS) for _ in range(rng.randrange(0, 12)))
+
+    def test_seeded_bracket_heavy_texts(self):
+        rng = random.Random(4242)
+        outcomes = {"list": 0, "none": 0}
+        for _ in range(3000):
+            text = self._text(rng)
+            try:
+                expected = _reference_extract(text)
+            except NoListFound:
+                outcomes["none"] += 1
+                with pytest.raises(NoListFound):
+                    extract_pair_list(text)
+                continue
+            outcomes["list"] += 1
+            assert extract_pair_list(text) == expected, text
+        assert min(outcomes.values()) > 100
+
+    def test_junk_brackets_after_final_list(self):
+        text = "[('FOOD#QUALITY', 'positive')] then [ and [( and [('x', 'y'"
+        assert extract_pair_list(text) == _reference_extract(text)
+        assert extract_pair_list(text) == [RawPair("FOOD#QUALITY", "positive")]
+
+    def test_bracket_inside_quoted_element_of_final_list(self):
+        text = "[('early', 'positive')] final: [('a [b', 'negative')]"
+        assert extract_pair_list(text) == _reference_extract(text)
+        assert extract_pair_list(text) == [RawPair("a [b", "negative")]
+
+    def test_no_list_raises_like_reference(self):
+        for text in ("", "[", "no list [( here", "[('a', 'b'", "[x] [[ [(", "[1]"):
+            with pytest.raises(NoListFound):
+                _reference_extract(text)
+            with pytest.raises(NoListFound):
+                extract_pair_list(text)
 
 
 class TestSimilarity:
@@ -148,6 +286,88 @@ class TestMapCategory:
             map_category("food", RESTAURANT_INVENTORY, 1.5)
         with pytest.raises(ValueError):
             map_category("food", [], 0.6)
+
+
+class TestBestCategoryMatchesExhaustiveSearch:
+    """The bound-pruned search picks the same entry with the same
+    similarity float as scoring every entry."""
+
+    def _check(self, candidate, inventory):
+        got = _best_category(candidate, _fold_inventory(inventory))
+        expected = _reference_best_category(candidate, inventory)
+        assert got[0] == expected[0], (candidate, inventory)
+        assert got[1] == expected[1], (candidate, inventory)  # the float itself
+
+    def test_ties_break_to_earliest(self):
+        self._check("drink#", ["drinks", "drinkz"])
+        self._check("ab", ["ax", "xb", "ab "])
+        rng = random.Random(11)
+        for _ in range(500):  # a 3-letter alphabet makes equal scores common
+            inventory = ["".join(rng.choice("abc") for _ in range(rng.randrange(1, 6))) for _ in range(8)]
+            self._check("".join(rng.choice("abc") for _ in range(rng.randrange(1, 6))), inventory)
+
+    def test_duplicate_entries(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            base = ["".join(rng.choice("abcd #") for _ in range(rng.randrange(1, 8))) for _ in range(4)]
+            inventory = [rng.choice((str.upper, str.lower, str))(rng.choice(base)) for _ in range(10)]
+            self._check(rng.choice(base), inventory)
+            self._check(_typo(rng, rng.choice(base)), inventory)
+        self._check("food quality", ["FOOD#QUALITY", "food#quality", "FOOD#QUALITY"])
+
+    def test_empty_and_whitespace_strings(self):
+        blanks = ["", " ", "   ", "\t\n"]
+        for candidate in blanks + ["a", "food"]:
+            for inventory in (blanks, ["food", ""], ["", "food"], [" ", "a", "  "], ["food", "a"]):
+                self._check(candidate, inventory)
+
+    def test_candidates_longer_and_shorter_than_entries(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            inventory = [
+                "".join(rng.choice("abcdefg_#") for _ in range(rng.randrange(3, 9))) for _ in range(12)
+            ]
+            short = "".join(rng.choice("abcdefg") for _ in range(rng.randrange(1, 3)))
+            long = " ".join(rng.sample(inventory, 3)) + "".join(rng.choice("xyz") for _ in range(5))
+            self._check(short, inventory)
+            self._check(long, inventory)
+
+    def test_laptop_style_inventory(self):
+        assert len(LAPTOP_STYLE_INVENTORY) == 67
+        rng = random.Random(14)
+        for _ in range(400):
+            self._check(_laptop_style_candidate(rng), LAPTOP_STYLE_INVENTORY)
+
+    def test_canonicalize_outcomes_match_reference(self):
+        rng = random.Random(15)
+        raw = [RawPair(_laptop_style_candidate(rng), "positive") for _ in range(100)]
+        _, outcomes = canonicalize(raw, LAPTOP_STYLE_INVENTORY)
+        for pair, outcome in zip(raw, outcomes):
+            entry, score = _reference_best_category(pair.category_text, LAPTOP_STYLE_INVENTORY)
+            assert outcome.similarity == score
+            if outcome.mapped is not None:
+                assert outcome.mapped.category == entry
+
+
+class TestCanonicalizeThreads:
+    def test_concurrent_calls_match_serial(self):
+        rng = random.Random(16)
+        labels = ["positive", "Negative", "netural", "mixed"]
+        raw = [RawPair(_laptop_style_candidate(rng), rng.choice(labels)) for _ in range(60)]
+        serial = canonicalize(raw, LAPTOP_STYLE_INVENTORY)
+        threads = 8
+        barrier = threading.Barrier(threads)
+
+        def work(_):
+            barrier.wait()
+            return [canonicalize(raw, LAPTOP_STYLE_INVENTORY) for _ in range(3)]
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(work, range(threads)))
+        for per_thread in results:
+            for pairs, outcomes in per_thread:
+                assert pairs == serial[0]
+                assert outcomes == serial[1]
 
 
 class TestNormalizePolarity:
