@@ -78,8 +78,9 @@ class ChatRequest:
     # sha256 of canonical_json(), set by the first cache_key access
     _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def canonical_json(self) -> str:
-        payload = {
+    def as_dict(self) -> dict:
+        """The request's hashed fields, as stored in a cache file."""
+        return {
             "model_id": self.model_id,
             "system": self.system,
             "user": self.user,
@@ -89,7 +90,11 @@ class ChatRequest:
                 "max_output_tokens": self.params.max_output_tokens,
             },
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+    def canonical_json(self) -> str:
+        return json.dumps(
+            self.as_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=True
+        )
 
     @property
     def cache_key(self) -> str:
@@ -132,7 +137,7 @@ def cache_payload(request: ChatRequest, text: str) -> dict:
     return {
         "schema_version": 1,
         "request_hash": request.cache_key,
-        "request": json.loads(request.canonical_json()),
+        "request": request.as_dict(),
         "response": {"text": text, "text_sha256": _text_sha256(text)},
     }
 
@@ -270,7 +275,8 @@ class ChatClient:
         self.strict_greedy = strict_greedy
         self.max_concurrency = max_concurrency
         self._guard = threading.Lock()
-        self._inflight: dict[str, threading.Lock] = {}
+        # request hash -> [lock, number of chat calls holding or waiting for it]
+        self._inflight: dict[str, list] = {}
 
     def _cache_path(self, key: str) -> Path | None:
         if self.cache_dir is None:
@@ -283,10 +289,6 @@ class ChatClient:
             return None
         return read_cache_file(path, key)
 
-    def _key_lock(self, key: str) -> threading.Lock:
-        with self._guard:
-            return self._inflight.setdefault(key, threading.Lock())
-
     def chat(self, request: ChatRequest) -> ChatResponse:
         if self.strict_greedy and not request.params.is_greedy:
             raise GreedyViolation(
@@ -297,17 +299,27 @@ class ChatClient:
         cached = self._cache_lookup(key)
         if cached is not None:
             return ChatResponse(cached, "cache", 0.0, key)
-        with self._key_lock(key):
-            cached = self._cache_lookup(key)
-            if cached is not None:
-                return ChatResponse(cached, "cache", 0.0, key)
-            start = time.perf_counter()
-            text = self.backend.complete(request)
-            latency_ms = (time.perf_counter() - start) * 1000.0
-            path = self._cache_path(key)
-            if path is not None:
-                write_cache_file(path, request, text)
-            return ChatResponse(text, self.backend.name, latency_ms, key)
+        with self._guard:
+            inflight = self._inflight.setdefault(key, [threading.Lock(), 0])
+            inflight[1] += 1
+        try:
+            with inflight[0]:
+                cached = self._cache_lookup(key)
+                if cached is not None:
+                    return ChatResponse(cached, "cache", 0.0, key)
+                start = time.perf_counter()
+                text = self.backend.complete(request)
+                latency_ms = (time.perf_counter() - start) * 1000.0
+                path = self._cache_path(key)
+                if path is not None:
+                    write_cache_file(path, request, text)
+                return ChatResponse(text, self.backend.name, latency_ms, key)
+        finally:
+            # the last call out drops the entry; a waiter keeps the same lock
+            with self._guard:
+                inflight[1] -= 1
+                if not inflight[1]:
+                    del self._inflight[key]
 
     def warm_cache(self, requests_in: Iterable[ChatRequest]) -> WarmSummary:
         """Fetch every miss with bounded parallelism; idempotent."""

@@ -207,45 +207,101 @@ def _fold(s: str) -> str:
     return " ".join(s.split()).casefold()
 
 
-def _fold_inventory(inventory) -> list[tuple[str, str, tuple[tuple[str, int], ...]]]:
-    """Each entry with its folded spelling and that spelling's character counts."""
-    folded = [(entry, _fold(entry)) for entry in inventory]
-    return [(entry, text, tuple(Counter(text).items())) for entry, text in folded]
+class PreparedInventory:
+    """An inventory prepared once for the fuzzy search.
+
+    Each entry is kept with its folded spelling, that spelling's
+    character counts (for the shared-character bound) and, per
+    character, the bitmask of its positions (for the LCS bound). A run
+    prepares its category inventory once; nothing changes it afterwards,
+    so one instance is shared by every worker thread.
+    """
+
+    __slots__ = ("entries",)
+
+    def __init__(self, inventory):
+        entries = []
+        for entry in inventory:
+            text = _fold(entry)
+            masks: dict[str, int] = {}
+            for i, ch in enumerate(text):
+                masks[ch] = masks.get(ch, 0) | 1 << i
+            counts = tuple((ch, mask.bit_count()) for ch, mask in masks.items())
+            entries.append((entry, text, counts, masks))
+        self.entries = tuple(entries)
 
 
-def _best_category(candidate: str, entries) -> tuple[str | None, float]:
-    """The earliest entry with the highest similarity, and that similarity.
+def _lcs_length(candidate: str, masks: dict[str, int], length: int) -> int:
+    """Length of the longest common subsequence of ``candidate`` and the
+    ``length``-character string whose per-character position bitmasks
+    are ``masks``.
 
-    ``entries`` comes from ``_fold_inventory``. The search is
-    bound-pruned: before an entry is scored, two upper bounds on its
-    ratio 2*M/(|a|+|b|) are checked, M <= min(|a|,|b|) (difflib's
-    real_quick_ratio) and M <= the size of the two strings' common
-    character multiset (quick_ratio). Each bound uses the ratio's own
-    float expression, so it is never below the ratio. Only a strictly
-    greater score replaces the best, so an entry whose bound is <= the
-    best score so far could not win and is skipped: the chosen entry,
+    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): ``v`` encodes one
+    row of the LCS dynamic program, a zero at bit i marking where the
+    row steps up by one, so the LCS is the number of zero bits.
+    """
+    full = (1 << length) - 1
+    v = full
+    for ch in candidate:
+        mask = masks.get(ch)
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return length - v.bit_count()
+
+
+def _best_category(folded: str, inventory: PreparedInventory) -> tuple[str | None, float]:
+    """The earliest entry whose folded spelling is most similar to the
+    already folded ``folded``, and that similarity.
+
+    Best-first search. Every entry gets an upper bound on its ratio
+    2*M/(|a|+|b|) from the size of the two strings' common character
+    multiset (difflib's quick_ratio), and entries are visited by
+    descending bound, then by inventory position. Before an entry is
+    scored, a tighter bound replaces M by the length of the longest
+    common subsequence: the matched blocks appear in the same order in
+    both strings, so M <= LCS <= the common multiset. Both bounds use
+    the ratio's own float expression, so neither is ever below the
+    ratio.
+
+    A score replaces the best when it is greater, or equal at an
+    earlier position. The search stops at the first entry whose bound
+    is below the best score, since every later one is bounded by it,
+    and skips an entry whose bound equals the best score at a later
+    position, since it could at most tie and lose. So the chosen entry,
     its score and the earliest-position tie-break are exactly those of
     scoring every entry.
     """
-    folded = _fold(candidate)
     size = len(folded)
     available = Counter(folded).get
+    entries = inventory.entries
+    order = []
+    for index, (_, text, counts, _) in enumerate(entries):
+        common = 0
+        for ch, n in counts:
+            have = available(ch, 0)
+            common += n if n < have else have
+        total = size + len(text)
+        order.append((-2.0 * common / total if total else -1.0, index))  # "" vs "" scores 1.0
+    order.sort()
     best: str | None = None
     best_score = -1.0
-    for entry, text, counts in entries:
+    best_index = len(entries)
+    for negated_bound, index in order:
+        bound = -negated_bound
+        if bound < best_score:
+            break
+        if bound == best_score and index > best_index:
+            continue
+        entry, text, _, masks = entries[index]
         total = size + len(text)
-        if total:  # two empty strings score 1.0, so are never pruned
-            if 2.0 * min(size, len(text)) / total <= best_score:
-                continue
-            common = 0
-            for ch, n in counts:
-                have = available(ch, 0)
-                common += n if n < have else have
-            if 2.0 * common / total <= best_score:
+        if total:
+            bound = 2.0 * _lcs_length(folded, masks, len(text)) / total
+            if bound < best_score or (bound == best_score and index > best_index):
                 continue
         score = similarity(folded, text)
-        if score > best_score:
-            best, best_score = entry, score
+        if score > best_score or (score == best_score and index < best_index):
+            best, best_score, best_index = entry, score, index
     return best, max(best_score, 0.0)
 
 
@@ -260,10 +316,13 @@ def map_category(candidate: str, inventory, cutoff: float = DEFAULT_CUTOFF):
         raise ValueError("inventory must not be empty")
     if not 0.0 <= cutoff <= 1.0:
         raise ValueError(f"cutoff must be in [0, 1], got {cutoff}")
-    best, score = _best_category(candidate, _fold_inventory(inventory))
+    best, score = _best_category(_fold(candidate), PreparedInventory(inventory))
     if best is not None and score >= cutoff:
         return best
     return None
+
+
+_PREPARED_POLARITY_LABELS = PreparedInventory(_POLARITY_LABELS)
 
 
 def normalize_polarity(text: str, cutoff: float = DEFAULT_CUTOFF) -> Polarity | None:
@@ -271,32 +330,26 @@ def normalize_polarity(text: str, cutoff: float = DEFAULT_CUTOFF) -> Polarity | 
     folded = text.strip().casefold()
     if folded in _POLARITY_LABELS:
         return Polarity(folded)
-    best: str | None = None
-    best_score = -1.0
-    for label in _POLARITY_LABELS:
-        score = similarity(folded, label)
-        if score > best_score:
-            best, best_score = label, score
-    if best_score >= cutoff:
-        return Polarity(best)
+    label, score = _best_category(folded, _PREPARED_POLARITY_LABELS)
+    if score >= cutoff:
+        return Polarity(label)
     return None
 
 
 def canonicalize(
-    raw_pairs, inventory, cutoff: float = DEFAULT_CUTOFF
+    raw_pairs, inventory: PreparedInventory, cutoff: float = DEFAULT_CUTOFF
 ) -> tuple[frozenset[Pair], list[MappingOutcome]]:
-    """Map raw pairs onto the inventory, dropping what cannot be mapped.
+    """Map raw pairs onto the prepared inventory, dropping what cannot be mapped.
 
     Returns the deduplicated pair set plus one MappingOutcome per input
     pair, preserving full provenance for the results file.
     """
     if not 0.0 <= cutoff <= 1.0:
         raise ValueError(f"cutoff must be in [0, 1], got {cutoff}")
-    entries = _fold_inventory(inventory)
     outcomes: list[MappingOutcome] = []
     mapped: list[Pair] = []
     for raw in raw_pairs:
-        entry, score = _best_category(raw.category_text, entries)
+        entry, score = _best_category(_fold(raw.category_text), inventory)
         if entry is None or score < cutoff:
             outcomes.append(MappingOutcome(raw, None, score, "below-cutoff"))
             continue

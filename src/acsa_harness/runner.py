@@ -334,7 +334,9 @@ def _outcome_to_json(outcome: pp.MappingOutcome) -> dict:
     }
 
 
-def _process_job(job: _Job, client: ChatClient, categories, cutoff: float):
+def _process_job(
+    job: _Job, client: ChatClient, inventory: pp.PreparedInventory, cutoff: float
+):
     record = {
         "schema_version": RESULTS_SCHEMA_VERSION,
         "sample_id": job.sample_id,
@@ -359,7 +361,7 @@ def _process_job(job: _Job, client: ChatClient, categories, cutoff: float):
     except pp.NoListFound:
         record["format_failure"] = True
         raw_pairs = []
-    pairs, outcomes = pp.canonicalize(raw_pairs, categories, cutoff)
+    pairs, outcomes = pp.canonicalize(raw_pairs, inventory, cutoff)
     record["raw_pairs"] = [[r.category_text, r.polarity_text] for r in raw_pairs]
     record["outcomes"] = [_outcome_to_json(o) for o in outcomes]
     record["pairs"] = _pairs_to_json(pairs)
@@ -386,7 +388,7 @@ def run(config: RunConfig) -> RunSummary:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     split = _load_split(config)
-    categories = ds.category_inventory(split)
+    inventory = pp.PreparedInventory(ds.category_inventory(split))
     jobs = prepare_jobs(config, split)
     client = ChatClient(
         make_backend(config),
@@ -396,7 +398,7 @@ def run(config: RunConfig) -> RunSummary:
     )
     with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
         futures = [
-            pool.submit(_process_job, job, client, categories, config.cutoff)
+            pool.submit(_process_job, job, client, inventory, config.cutoff)
             for job in jobs
         ]
         outcomes = [future.result() for future in futures]  # submission order

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import sys
 import threading
+import time
 
 import pytest
 import requests
@@ -128,6 +130,65 @@ class TestChatClient:
             t.join()
         assert backend.calls == 1  # at most one in-flight call per request hash
         assert set(results) == {"reply text:hello"}
+
+    def test_inflight_locks_released(self, tmp_path):
+        backend = FakeBackend()
+        backend.delay = 0.05
+        client = ChatClient(backend, cache_dir=tmp_path / "cache", max_concurrency=8)
+        request = make_request()
+        barrier = threading.Barrier(8)
+        results = []
+
+        def call():
+            barrier.wait(timeout=5)
+            results.append(client.chat(request).backend)
+
+        threads = [threading.Thread(target=call) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=5)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert backend.calls == 1
+        assert sorted(results) == ["cache"] * 7 + ["fake"]
+        assert client._inflight == {}
+        client.chat(make_request(user="other"))
+        assert client._inflight == {}
+
+        def refuse(_request):
+            raise TransportError("down")
+
+        backend.complete = refuse
+        with pytest.raises(TransportError):
+            client.chat(make_request(user="failing"))
+        assert client._inflight == {}
+
+    def test_one_call_per_hash_at_a_time_without_cache(self):
+        # staggered arrivals: later calls come while earlier ones finish,
+        # so an entry dropped while others still wait would hand them a second lock
+        backend = FakeBackend()
+        backend.delay = 0.02
+        client = ChatClient(backend, max_concurrency=8)
+        request = make_request()
+
+        def call(i):
+            time.sleep(0.005 * i)
+            client.chat(request)
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=5)
+            assert not t.is_alive()
+        assert backend.calls == 8
+        assert backend.max_concurrent == 1
+        assert client._inflight == {}
 
     def test_distinct_requests_run_concurrently(self, tmp_path):
         backend = FakeBackend()

@@ -11,16 +11,19 @@ import pytest
 from helpers import gestalt_reference
 
 from acsa_harness.datasets import Pair, Polarity
+from acsa_harness import postprocess
 from acsa_harness.postprocess import (
     DEFAULT_CUTOFF,
     MappingOutcome,
     NoListFound,
+    PreparedInventory,
     RawPair,
     canonicalize,
     extract_pair_list,
     map_category,
     _best_category,
-    _fold_inventory,
+    _fold,
+    _lcs_length,
     _scan_list,
     normalize_polarity,
     similarity,
@@ -71,6 +74,18 @@ def _reference_best_category(candidate, inventory):
         if score > best_score:
             best, best_score = entry, score
     return best, max(best_score, 0.0)
+
+
+def _reference_lcs(a, b):
+    """Longest common subsequence length by the textbook dynamic program."""
+    row = [0] * (len(b) + 1)
+    for ch in a:
+        diagonal = 0
+        for j, other in enumerate(b, 1):
+            above = row[j]
+            row[j] = diagonal + 1 if ch == other else max(above, row[j - 1])
+            diagonal = above
+    return row[-1]
 
 
 def _reference_extract(raw_output):
@@ -293,7 +308,7 @@ class TestBestCategoryMatchesExhaustiveSearch:
     similarity float as scoring every entry."""
 
     def _check(self, candidate, inventory):
-        got = _best_category(candidate, _fold_inventory(inventory))
+        got = _best_category(_fold(candidate), PreparedInventory(inventory))
         expected = _reference_best_category(candidate, inventory)
         assert got[0] == expected[0], (candidate, inventory)
         assert got[1] == expected[1], (candidate, inventory)  # the float itself
@@ -305,6 +320,35 @@ class TestBestCategoryMatchesExhaustiveSearch:
         for _ in range(500):  # a 3-letter alphabet makes equal scores common
             inventory = ["".join(rng.choice("abc") for _ in range(rng.randrange(1, 6))) for _ in range(8)]
             self._check("".join(rng.choice("abc") for _ in range(rng.randrange(1, 6))), inventory)
+
+    def test_later_entry_with_equal_bound(self):
+        # "acb" has the higher multiset bound and is scored first; "abx"
+        # then has a bound equal to the best score and an earlier position
+        self._check("abc", ["abx", "acb"])
+        self._check("abc", ["acb", "abx"])
+        self._check("ab", ["ab", "ba"])
+        self._check("ab", ["ba", "ab"])
+        self._check("aba", ["bca", "aab", "baa"])  # LCS 2 exceeds the matched 1 of "bca"
+        rng = random.Random(17)
+        for _ in range(500):  # anagrams of one multiset share their bound
+            base = "".join(rng.choice("abc#") for _ in range(rng.randrange(1, 6)))
+            inventory = [
+                "".join(rng.sample(base, len(base))) + rng.choice(("", "", "a", "b"))
+                for _ in range(8)
+            ]
+            self._check("".join(rng.sample(base, len(base))), inventory)
+
+    def test_later_entry_with_equal_bound_is_not_scored(self, monkeypatch):
+        calls = []
+
+        def counting_similarity(a, b):
+            calls.append((a, b))
+            return similarity(a, b)
+
+        monkeypatch.setattr(postprocess, "similarity", counting_similarity)
+        inventory = PreparedInventory(["food", "FOOD", " Food "])
+        assert _best_category("food", inventory) == ("food", 1.0)
+        assert len(calls) == 1
 
     def test_duplicate_entries(self):
         rng = random.Random(12)
@@ -341,7 +385,7 @@ class TestBestCategoryMatchesExhaustiveSearch:
     def test_canonicalize_outcomes_match_reference(self):
         rng = random.Random(15)
         raw = [RawPair(_laptop_style_candidate(rng), "positive") for _ in range(100)]
-        _, outcomes = canonicalize(raw, LAPTOP_STYLE_INVENTORY)
+        _, outcomes = canonicalize(raw, PreparedInventory(LAPTOP_STYLE_INVENTORY))
         for pair, outcome in zip(raw, outcomes):
             entry, score = _reference_best_category(pair.category_text, LAPTOP_STYLE_INVENTORY)
             assert outcome.similarity == score
@@ -349,18 +393,64 @@ class TestBestCategoryMatchesExhaustiveSearch:
                 assert outcome.mapped.category == entry
 
 
+class TestLcsLength:
+    """The bit-parallel LCS over a prepared entry equals the dynamic
+    program, and its ratio bounds the similarity from above."""
+
+    ALPHABET = "aAbBß#_-/: "
+
+    def _check(self, candidate, entry):
+        ((_, text, counts, masks),) = PreparedInventory([entry]).entries
+        assert sum(n for _, n in counts) == len(text)
+        folded = _fold(candidate)
+        got = _lcs_length(folded, masks, len(text))
+        assert got == _reference_lcs(folded, text), (candidate, entry)
+        total = len(folded) + len(text)
+        if total:
+            assert 2.0 * got / total >= similarity(folded, text), (candidate, entry)
+
+    def test_empty_strings(self):
+        for a, b in (("", ""), ("", "abc"), ("abc", ""), ("   ", "a"), ("a", "\t ")):
+            self._check(a, b)
+
+    def test_repeated_characters(self):
+        pairs = (("aaaa", "aa"), ("aa", "aaaa"), ("abab", "baba"), ("aabb", "bbaa"), ("#" * 9, "#_#"))
+        for a, b in pairs:
+            self._check(a, b)
+
+    def test_case_folds_that_change_length(self):
+        pairs = (("Straße", "STRASSE"), ("STRASSE", "straße"), ("ßß", "ss"), ("ﬁle", "FILE"), ("İx", "ix"))
+        for a, b in pairs:
+            assert len(_fold(a)) != len(a) or len(_fold(b)) != len(b)
+            self._check(a, b)
+
+    def test_seeded_random_strings(self):
+        rng = random.Random(18)
+        for _ in range(1000):
+            # lengths up to 79 take the bit vectors past 64 bits
+            a = "".join(rng.choice(self.ALPHABET) for _ in range(rng.randrange(0, 80)))
+            b = "".join(rng.choice(self.ALPHABET) for _ in range(rng.randrange(0, 80)))
+            self._check(a, b)
+
+    def test_laptop_style_candidates(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            self._check(_laptop_style_candidate(rng), rng.choice(LAPTOP_STYLE_INVENTORY))
+
+
 class TestCanonicalizeThreads:
     def test_concurrent_calls_match_serial(self):
         rng = random.Random(16)
         labels = ["positive", "Negative", "netural", "mixed"]
         raw = [RawPair(_laptop_style_candidate(rng), rng.choice(labels)) for _ in range(60)]
-        serial = canonicalize(raw, LAPTOP_STYLE_INVENTORY)
+        inventory = PreparedInventory(LAPTOP_STYLE_INVENTORY)
+        serial = canonicalize(raw, inventory)
         threads = 8
         barrier = threading.Barrier(threads)
 
         def work(_):
             barrier.wait()
-            return [canonicalize(raw, LAPTOP_STYLE_INVENTORY) for _ in range(3)]
+            return [canonicalize(raw, inventory) for _ in range(3)]
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, range(threads)))
@@ -386,6 +476,26 @@ class TestNormalizePolarity:
     def test_neutral_variant(self):
         assert normalize_polarity("netural") is Polarity.NEUTRAL
 
+    def test_matches_exhaustive_search(self):
+        labels = ("positive", "neutral", "negative")
+
+        def reference(text, cutoff):
+            folded = text.strip().casefold()
+            best, best_score = None, -1.0
+            for label in labels:
+                score = similarity(folded, label)
+                if score > best_score:
+                    best, best_score = label, score
+            return Polarity(best) if best_score >= cutoff else None
+
+        rng = random.Random(32)
+        for _ in range(1000):
+            text = rng.choice(labels + ("mixed", "", "pos itive", "NEG  ative", "conflict"))
+            for _ in range(rng.randrange(0, 3)):
+                text = _typo(rng, text)
+            cutoff = rng.choice((0.0, 0.3, DEFAULT_CUTOFF, 0.8, 1.0))
+            assert normalize_polarity(text, cutoff) is reference(text, cutoff), (text, cutoff)
+
 
 class TestCanonicalize:
     def test_maps_and_dedups(self):
@@ -394,7 +504,7 @@ class TestCanonicalize:
             RawPair("FOOD#QUALITY", "Positive"),
             RawPair("service", "negative"),
         ]
-        pairs, outcomes = canonicalize(raw, RESTAURANT_INVENTORY)
+        pairs, outcomes = canonicalize(raw, PreparedInventory(RESTAURANT_INVENTORY))
         assert pairs == frozenset(
             {
                 Pair("FOOD#QUALITY", Polarity.POSITIVE),
@@ -406,7 +516,7 @@ class TestCanonicalize:
 
     def test_drop_reasons(self):
         raw = [RawPair("battery", "positive"), RawPair("food quality", "mixed")]
-        pairs, outcomes = canonicalize(raw, RESTAURANT_INVENTORY)
+        pairs, outcomes = canonicalize(raw, PreparedInventory(RESTAURANT_INVENTORY))
         assert pairs == frozenset()
         assert outcomes[0].dropped_reason == "below-cutoff"
         assert outcomes[1].dropped_reason == "bad-polarity"
@@ -423,7 +533,7 @@ class TestCanonicalize:
                 )
                 for _ in range(rng.randrange(0, 6))
             ]
-            pairs, outcomes = canonicalize(raw, RESTAURANT_INVENTORY)
+            pairs, outcomes = canonicalize(raw, PreparedInventory(RESTAURANT_INVENTORY))
             assert len(pairs) <= len(raw)
             assert len(outcomes) == len(raw)
 
