@@ -17,9 +17,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 
 class LlmError(Exception):
@@ -174,6 +175,10 @@ class HttpBackend:
 
     Rate-limit responses are retried with exponential backoff up to
     max_retries; auth failures and other refusals surface immediately.
+    ``requests`` is imported here, not at module level, so that replay
+    and cache-only runs never load it. Without an injected session, the
+    connection pool holds ``pool_size`` connections per host, one per
+    worker thread.
     """
 
     name = "http"
@@ -187,13 +192,22 @@ class HttpBackend:
         backoff_base: float = 1.0,
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
+        pool_size: int = 10,
     ):
+        import requests
+        from requests.adapters import HTTPAdapter
+
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self._session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            for prefix in ("http://", "https://"):
+                session.mount(prefix, HTTPAdapter(pool_maxsize=pool_size))
+        self._session = session
+        self._request_error = requests.RequestException
         self._sleep = sleep
 
     def complete(self, request: ChatRequest) -> str:
@@ -215,7 +229,7 @@ class HttpBackend:
         while True:
             try:
                 resp = self._session.post(url, json=payload, headers=headers, timeout=self.timeout)
-            except requests.RequestException as err:
+            except self._request_error as err:
                 raise TransportError(f"request failed: {err}") from err
             if resp.status_code in (401, 403):
                 raise AuthError(f"HTTP {resp.status_code} from {url}")

@@ -305,23 +305,6 @@ def _best_category(folded: str, inventory: PreparedInventory) -> tuple[str | Non
     return best, max(best_score, 0.0)
 
 
-def map_category(candidate: str, inventory, cutoff: float = DEFAULT_CUTOFF):
-    """Best fuzzy match in the inventory, or None below the cutoff.
-
-    Candidate and entries are case-folded and whitespace-collapsed before
-    scoring; ties break toward the earliest inventory position. Returns
-    the inventory entry in its canonical spelling.
-    """
-    if not inventory:
-        raise ValueError("inventory must not be empty")
-    if not 0.0 <= cutoff <= 1.0:
-        raise ValueError(f"cutoff must be in [0, 1], got {cutoff}")
-    best, score = _best_category(_fold(candidate), PreparedInventory(inventory))
-    if best is not None and score >= cutoff:
-        return best
-    return None
-
-
 _PREPARED_POLARITY_LABELS = PreparedInventory(_POLARITY_LABELS)
 
 

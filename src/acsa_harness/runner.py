@@ -35,6 +35,7 @@ from .llm import (
 )
 from .prompts import build_baseline_prompt, build_umr_prompt, template_version
 from .umr import (
+    EXEMPLAR_FILE_COUNT,
     EXEMPLAR_KEEP,
     exemplar_draw_indices,
     format_exemplars,
@@ -128,9 +129,10 @@ class RunConfig:
             if not self.fixture_dir or not Path(self.fixture_dir).is_dir():
                 raise ConfigError(f"fixture_dir does not exist: {self.fixture_dir!r}")
         if self.method == "umr":
-            if len(self.exemplar_paths) != 5:
+            if len(self.exemplar_paths) != EXEMPLAR_FILE_COUNT:
                 raise ConfigError(
-                    f"method 'umr' needs exactly 5 exemplar_paths, got {len(self.exemplar_paths)}"
+                    f"method 'umr' needs exactly {EXEMPLAR_FILE_COUNT} exemplar_paths, "
+                    f"got {len(self.exemplar_paths)}"
                 )
             for path in self.exemplar_paths:
                 if not Path(path).exists():
@@ -280,7 +282,11 @@ def _load_split(config: RunConfig) -> ds.DatasetSplit:
 def make_backend(config: RunConfig):
     if config.backend == "replay":
         return ReplayBackend(config.fixture_dir)
-    return HttpBackend(config.base_url, api_key=os.environ.get(config.api_key_env))
+    return HttpBackend(
+        config.base_url,
+        api_key=os.environ.get(config.api_key_env),
+        pool_size=config.concurrency,
+    )
 
 
 def prepare_jobs(config: RunConfig, split: ds.DatasetSplit) -> list[_Job]:

@@ -5,15 +5,19 @@ the three-way interaction serves as the error term: every F statistic is
 MS(effect) / MS(three-way interaction). Effect sizes are classical
 eta-squared, SS(effect) / SS(total). Upper-tail F probabilities come from
 the regularized incomplete beta function evaluated by continued fraction.
+
+The grid holds a few dozen cells, so everything is pure Python: marginal
+means come from index arithmetic over the flattened cell values and
+every sum goes through ``math.fsum``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from math import fsum
 from typing import Iterable
-
-import numpy as np
 
 EFFECT_NAMES = (
     "Method",
@@ -96,10 +100,6 @@ class FactorialDesign:
         )
         return cls(tuple(methods), tuple(models), tuple(datasets), values)
 
-    def array(self) -> np.ndarray:
-        shape = (len(self.methods), len(self.models), len(self.datasets))
-        return np.asarray(self.values, dtype=float).reshape(shape)
-
 
 @dataclass(frozen=True)
 class EffectStats:
@@ -129,40 +129,62 @@ class AnovaTable:
 
 
 def decompose(design: FactorialDesign) -> dict[str, float]:
-    """Sums of squares by the standard balanced marginal-means identities."""
-    y = design.array()
-    a, b, c = y.shape
-    mu = y.mean()
-    mean_a = y.mean(axis=(1, 2))
-    mean_b = y.mean(axis=(0, 2))
-    mean_c = y.mean(axis=(0, 1))
-    mean_ab = y.mean(axis=2)
-    mean_ac = y.mean(axis=1)
-    mean_bc = y.mean(axis=0)
-    ss = {
-        "Method": b * c * float(np.sum((mean_a - mu) ** 2)),
-        "Model": a * c * float(np.sum((mean_b - mu) ** 2)),
-        "Dataset": a * b * float(np.sum((mean_c - mu) ** 2)),
+    """Sums of squares by the standard balanced marginal-means identities.
+
+    Cell (i, j, k) is ``values[(i * b + j) * c + k]``, so each marginal
+    mean is an exactly rounded sum over a slice of the flattened values.
+    """
+    y = design.values
+    a, b, c = len(design.methods), len(design.models), len(design.datasets)
+    bc = b * c
+    mu = fsum(y) / len(y)
+    mean_a = [fsum(y[i * bc : (i + 1) * bc]) / bc for i in range(a)]
+    mean_b = [
+        fsum(v for i in range(a) for v in y[(i * b + j) * c : (i * b + j + 1) * c]) / (a * c)
+        for j in range(b)
+    ]
+    mean_c = [fsum(y[k::c]) / (a * b) for k in range(c)]
+    mean_ab = [
+        [fsum(y[(i * b + j) * c : (i * b + j + 1) * c]) / c for j in range(b)]
+        for i in range(a)
+    ]
+    mean_ac = [
+        [fsum(y[i * bc + k : (i + 1) * bc : c]) / b for k in range(c)] for i in range(a)
+    ]
+    mean_bc = [[fsum(y[j * c + k :: bc]) / a for k in range(c)] for j in range(b)]
+
+    def squares(deviations) -> float:
+        return fsum(d * d for d in deviations)
+
+    return {
+        "Method": bc * squares(m - mu for m in mean_a),
+        "Model": a * c * squares(m - mu for m in mean_b),
+        "Dataset": a * b * squares(m - mu for m in mean_c),
         "Method:Model": c
-        * float(np.sum((mean_ab - mean_a[:, None] - mean_b[None, :] + mu) ** 2)),
+        * squares(
+            mean_ab[i][j] - mean_a[i] - mean_b[j] + mu for i in range(a) for j in range(b)
+        ),
         "Method:Dataset": b
-        * float(np.sum((mean_ac - mean_a[:, None] - mean_c[None, :] + mu) ** 2)),
+        * squares(
+            mean_ac[i][k] - mean_a[i] - mean_c[k] + mu for i in range(a) for k in range(c)
+        ),
         "Model:Dataset": a
-        * float(np.sum((mean_bc - mean_b[:, None] - mean_c[None, :] + mu) ** 2)),
+        * squares(
+            mean_bc[j][k] - mean_b[j] - mean_c[k] + mu for j in range(b) for k in range(c)
+        ),
+        "residual": squares(
+            v
+            - mean_ab[i][j]
+            - mean_ac[i][k]
+            - mean_bc[j][k]
+            + mean_a[i]
+            + mean_b[j]
+            + mean_c[k]
+            - mu
+            for (i, j, k), v in zip(itertools.product(range(a), range(b), range(c)), y)
+        ),
+        "total": squares(v - mu for v in y),
     }
-    residual = (
-        y
-        - mean_ab[:, :, None]
-        - mean_ac[:, None, :]
-        - mean_bc[None, :, :]
-        + mean_a[:, None, None]
-        + mean_b[None, :, None]
-        + mean_c[None, None, :]
-        - mu
-    )
-    ss["residual"] = float(np.sum(residual**2))
-    ss["total"] = float(np.sum((y - mu) ** 2))
-    return ss
 
 
 def effect_dfs(design: FactorialDesign) -> dict[str, int]:
@@ -203,7 +225,7 @@ def anova(design: FactorialDesign) -> AnovaTable:
         f_stat = ms / ms_residual
         p = f_upper_tail(f_stat, df, dfs["residual"])
         effects.append(EffectStats(name, df, ss[name], ms, f_stat, p, ss[name] / total))
-    mu = float(design.array().mean())
+    mu = fsum(design.values) / len(design.values)
     return AnovaTable(
         tuple(effects), dfs["residual"], residual, ms_residual, total, mu
     )

@@ -14,7 +14,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 __all__ = [
     "Const",
@@ -32,13 +32,11 @@ __all__ = [
     "UmrParseError",
     "UnbalancedParens",
     "UnterminatedString",
-    "WrongFileCount",
     "exemplar_draw_indices",
     "format_exemplars",
     "load_document",
     "parse_document",
     "parse_graph",
-    "sample_exemplar",
     "serialize_graph",
     "truncate_document",
 ]
@@ -93,10 +91,6 @@ class NoEntriesFound(UmrError):
 
 class DocumentFormatError(UmrError):
     """A sentence entry is structurally broken (blank text, missing graph)."""
-
-
-class WrongFileCount(UmrError):
-    """Exemplar sampling requires exactly five document paths."""
 
 
 @dataclass(frozen=True)
@@ -579,24 +573,6 @@ def exemplar_draw_indices(seed: int, n_draws: int, n_choices: int) -> list[int]:
     """Deterministic uniform draws: one PRNG seeded once, advanced per draw."""
     rng = random.Random(seed)
     return [rng.randrange(n_choices) for _ in range(n_draws)]
-
-
-def sample_exemplar(
-    files: Sequence[str | Path], seed: int, draw_index: int, keep: int = EXEMPLAR_KEEP
-) -> UmrDocument:
-    """Pick one of five exemplar files for a given draw and truncate it.
-
-    The choice for ``draw_index`` is the (draw_index+1)-th value of the
-    PRNG stream seeded with ``seed``, so a run's draws form one stream
-    indexed by sample position. The returned document's source_id records
-    the chosen file for provenance.
-    """
-    if len(files) != EXEMPLAR_FILE_COUNT:
-        raise WrongFileCount(f"expected {EXEMPLAR_FILE_COUNT} exemplar files, got {len(files)}")
-    if draw_index < 0:
-        raise ValueError(f"draw_index must be >= 0, got {draw_index}")
-    index = exemplar_draw_indices(seed, draw_index + 1, len(files))[-1]
-    return truncate_document(load_document(files[index]), keep)
 
 
 def format_exemplars(doc: UmrDocument) -> str:

@@ -22,6 +22,7 @@ from acsa_harness.llm import (
     TransportError,
     write_cache_file,
 )
+from acsa_harness.runner import RunConfig, make_backend
 
 
 def make_request(user="hello", temperature=0.0, top_p=1.0):
@@ -338,6 +339,22 @@ class TestHttpBackend:
         backend = HttpBackend("http://unit.test", session=session)
         with pytest.raises(TransportError):
             backend.complete(make_request())
+
+    def test_pool_sized_to_concurrency(self):
+        backend = HttpBackend("http://unit.test", pool_size=16)
+        for prefix in ("http://x", "https://x"):
+            assert backend._session.get_adapter(prefix)._pool_maxsize == 16
+
+    def test_injected_session_left_untouched(self):
+        session = FakeSession([])
+        backend = HttpBackend("http://unit.test", session=session, pool_size=16)
+        assert backend._session is session
+        assert vars(session) == {"responses": [], "posts": []}
+
+    def test_make_backend_passes_concurrency(self):
+        config = RunConfig(backend="http", base_url="http://unit.test", concurrency=24)
+        backend = make_backend(config)
+        assert backend._session.get_adapter("https://x")._pool_maxsize == 24
 
     def test_malformed_payload_is_transport(self):
         session = FakeSession([FakeResponse(200, {"choices": []})])

@@ -20,7 +20,6 @@ from acsa_harness.postprocess import (
     RawPair,
     canonicalize,
     extract_pair_list,
-    map_category,
     _best_category,
     _fold,
     _lcs_length,
@@ -267,40 +266,56 @@ class TestSimilarity:
 
 
 class TestMapCategory:
+    """Single candidates through the run's path: ``canonicalize`` and
+    ``_best_category`` over a ``PreparedInventory``."""
+
+    @staticmethod
+    def _map(candidate, inventory, cutoff=DEFAULT_CUTOFF):
+        _, outcomes = canonicalize(
+            [RawPair(candidate, "positive")], PreparedInventory(inventory), cutoff
+        )
+        pair = outcomes[0].mapped
+        return pair.category if pair is not None else None
+
     def test_space_for_hash_variant(self):
         # after folding only '#' vs ' ' differs: M=11, ratio 22/24 = 0.9167
-        assert map_category("FOOD QUALITY", RESTAURANT_INVENTORY, 0.6) == "FOOD#QUALITY"
+        assert self._map("FOOD QUALITY", RESTAURANT_INVENTORY, 0.6) == "FOOD#QUALITY"
 
     def test_exact_member(self):
-        assert map_category("SERVICE#GENERAL", RESTAURANT_INVENTORY, 0.6) == "SERVICE#GENERAL"
+        assert self._map("SERVICE#GENERAL", RESTAURANT_INVENTORY, 0.6) == "SERVICE#GENERAL"
         assert similarity("service#general", "service#general") == 1.0
 
     def test_out_of_domain_candidate(self):
         best = max(gestalt_reference("battery", e.casefold()) for e in RESTAURANT_INVENTORY)
         assert best < 0.6
-        assert map_category("battery", RESTAURANT_INVENTORY, 0.6) is None
+        assert self._map("battery", RESTAURANT_INVENTORY, 0.6) is None
 
     def test_case_fold_and_whitespace_collapse(self):
-        assert map_category("  food   quality ", RESTAURANT_INVENTORY, 0.6) == "FOOD#QUALITY"
+        assert self._map("  food   quality ", RESTAURANT_INVENTORY, 0.6) == "FOOD#QUALITY"
 
     def test_tie_breaks_to_earliest(self):
-        inventory = ["drinks", "drinkz"]
-        assert map_category("drinks", inventory, 0.0) == "drinks"
+        inventory = PreparedInventory(["drinks", "drinkz"])
+        assert _best_category("drinks", inventory) == ("drinks", 1.0)
         # equal similarity to both entries -> first position wins
-        assert map_category("drink#", inventory, 0.0) == "drinks"
+        assert _best_category("drink#", inventory)[0] == "drinks"
+        assert similarity("drink#", "drinks") == similarity("drink#", "drinkz")
 
     def test_returns_inventory_member_or_none(self):
         rng = random.Random(7)
+        inventory = PreparedInventory(RESTAURANT_INVENTORY)
         for _ in range(100):
             candidate = "".join(rng.choice("abcdefgh #") for _ in range(rng.randrange(1, 12)))
-            got = map_category(candidate, RESTAURANT_INVENTORY)
-            assert got is None or got in RESTAURANT_INVENTORY
+            pairs, outcomes = canonicalize([RawPair(candidate, "positive")], inventory)
+            got = outcomes[0].mapped
+            assert got is None or got.category in RESTAURANT_INVENTORY
+            assert pairs == ({got} if got is not None else set())
 
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
-            map_category("food", RESTAURANT_INVENTORY, 1.5)
-        with pytest.raises(ValueError):
-            map_category("food", [], 0.6)
+            self._map("food", RESTAURANT_INVENTORY, 1.5)
+        # an empty inventory maps nothing: every pair falls below the cutoff
+        assert _best_category("food", PreparedInventory([])) == (None, 0.0)
+        assert self._map("food", [], 0.0) is None
 
 
 class TestBestCategoryMatchesExhaustiveSearch:

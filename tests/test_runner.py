@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -382,3 +385,50 @@ class TestCli:
         )
         assert code == 0
         assert "fetched: 4" in capsys.readouterr().out
+
+
+E2E = Path(__file__).parent / "fixtures" / "e2e"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# results_sha256 of the committed Laptop16/umr replay cell, the same digest
+# the benchmark pins for that grid-replay cell
+LAPTOP16_UMR_SHA256 = "61771eadb06e5201c3f9179b7e138cb51eb2bcff886dd70c12f86feccb07a27f"
+
+_RUN_PATH_CHILD = """
+import json, sys
+from acsa_harness import cli
+code = cli.main(sys.argv[1:])
+loaded = [m for m in ("numpy", "requests", "urllib3", "charset_normalizer") if m in sys.modules]
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+def test_run_path_imports_only_stdlib(tmp_path):
+    """A replay run loads neither numpy nor requests and its stack."""
+    meta = json.loads((E2E / "meta.json").read_text("utf-8"))
+    root = E2E.parent.parent.parent
+    argv = [
+        "run",
+        "--dataset", "Laptop16",
+        "--dataset-path", str(E2E / meta["datasets"]["Laptop16"]),
+        "--method", "umr",
+        "--model", meta["model_id"],
+        "--backend", "replay",
+        "--fixture-dir", str(E2E / meta["replay_dir"]),
+        "--seed", str(meta["seed"]),
+        "--output", str(tmp_path / "Laptop16_umr.jsonl"),
+    ]
+    for path in meta["exemplars"]:
+        argv += ["--exemplar", str(root / path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_PATH_CHILD, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout.splitlines()[-1])
+    assert child == {"code": 0, "loaded": []}
+    manifest = json.loads((tmp_path / "Laptop16_umr.manifest.json").read_text("utf-8"))
+    assert manifest["results_sha256"] == LAPTOP16_UMR_SHA256

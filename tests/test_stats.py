@@ -114,6 +114,36 @@ class TestDecomposition:
             for name, value in want.items():
                 assert got[name] == pytest.approx(value, rel=1e-10, abs=1e-9)
 
+    def test_values_index_order(self):
+        # 2x3x4 levels, so a transposed index reads the wrong cells: a cell
+        # value that varies with only some factors must put its sums of
+        # squares on exactly the effects built from those factors
+        levels = (("m0", "m1"), ("a", "b", "c"), ("w", "x", "y", "z"))
+        factors = {"Method": {0}, "Model": {1}, "Dataset": {2}}
+        factors.update({
+            f"{x}:{y}": factors[x] | factors[y]
+            for x, y in itertools.combinations(("Method", "Model", "Dataset"), 2)
+        })
+        for name, axes in factors.items():
+            def value(cell):
+                return float(math.prod(cell[axis] ** 2 + 1 for axis in axes))
+
+            cells = list(itertools.product(*(range(len(ls)) for ls in levels)))
+            rows = [
+                (levels[0][i], levels[1][j], levels[2][k], value((i, j, k)))
+                for i, j, k in cells
+            ]
+            design = FactorialDesign.from_rows(rows)
+            for i, j, k in cells:
+                assert design.values[(i * 3 + j) * 4 + k] == value((i, j, k))
+            got = decompose(design)
+            for effect, value_ss in brute_force_ss(design).items():
+                assert got[effect] == pytest.approx(value_ss, rel=1e-10, abs=1e-9)
+            assert got[name] > 1.0
+            for effect in EFFECT_NAMES + ("residual",):
+                if not factors.get(effect, {0, 1, 2}) <= axes:
+                    assert got[effect] == pytest.approx(0.0, abs=1e-9), (name, effect)
+
     def test_additivity(self):
         rng = random.Random(44)
         for _ in range(25):

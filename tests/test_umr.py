@@ -1,9 +1,13 @@
 import random
+from pathlib import Path
 
 import pytest
 from helpers import random_graph, render_random
 
+from acsa_harness.datasets import load_dataset
+from acsa_harness.runner import ConfigError, RunConfig, prepare_jobs
 from acsa_harness.umr import (
+    EXEMPLAR_KEEP,
     Const,
     DanglingReference,
     DocumentFormatError,
@@ -16,12 +20,11 @@ from acsa_harness.umr import (
     UmrGraph,
     UmrParseError,
     UnbalancedParens,
-    WrongFileCount,
     exemplar_draw_indices,
     format_exemplars,
+    load_document,
     parse_document,
     parse_graph,
-    sample_exemplar,
     serialize_graph,
     truncate_document,
 )
@@ -312,7 +315,13 @@ class TestTruncation:
             truncate_document(self._doc(2), 0)
 
 
+E2E = Path(__file__).parent / "fixtures" / "e2e"
+
+
 class TestExemplarSampling:
+    """Exemplar draws as a run makes them: one PRNG stream indexed by
+    sample position, each drawn file parsed and truncated."""
+
     def _write_files(self, tmp_path, n=5, entries=4):
         paths = []
         for f in range(n):
@@ -324,38 +333,66 @@ class TestExemplarSampling:
             paths.append(str(path))
         return paths
 
+    def _config(self, tmp_path, paths, seed):
+        config = RunConfig(
+            dataset="Laptop16",
+            dataset_path=str(E2E / "datasets" / "laptop16_test.xml"),
+            method="umr",
+            model_id="unit-model",
+            backend="replay",
+            fixture_dir=str(E2E / "replay"),
+            exemplar_paths=tuple(paths),
+            seed=seed,
+            output_path=str(tmp_path / "out.jsonl"),
+        )
+        config.validate()
+        return config
+
+    def _jobs(self, tmp_path, paths, seed):
+        config = self._config(tmp_path, paths, seed)
+        return prepare_jobs(config, load_dataset(config.dataset, config.dataset_path))
+
     def test_deterministic(self, tmp_path):
         paths = self._write_files(tmp_path)
-        a = sample_exemplar(paths, seed=7, draw_index=12)
-        b = sample_exemplar(paths, seed=7, draw_index=12)
-        assert a == b
+        a = self._jobs(tmp_path, paths, seed=7)
+        b = self._jobs(tmp_path, paths, seed=7)
+        assert [(j.exemplar_file_id, j.request) for j in a] == [
+            (j.exemplar_file_id, j.request) for j in b
+        ]
+        index = exemplar_draw_indices(seed=7, n_draws=13, n_choices=5)[12]
+        doc = truncate_document(load_document(paths[index]), EXEMPLAR_KEEP)
+        assert doc == truncate_document(load_document(paths[index]), EXEMPLAR_KEEP)
 
     def test_truncated_to_three(self, tmp_path):
         paths = self._write_files(tmp_path, entries=5)
-        doc = sample_exemplar(paths, seed=1, draw_index=0)
+        doc = truncate_document(load_document(paths[0]), EXEMPLAR_KEEP)
         assert len(doc.entries) == 3
+        for job in self._jobs(tmp_path, paths, seed=1):
+            prompt = job.request.user
+            assert "sentence 2." in prompt and "sentence 3." not in prompt
 
     def test_records_file_id(self, tmp_path):
         paths = self._write_files(tmp_path)
-        doc = sample_exemplar(paths, seed=3, draw_index=2)
-        assert doc.source_id in {f"exemplar{i}.umr" for i in range(5)}
+        assert load_document(paths[2]).source_id == "exemplar2.umr"
+        ids = {job.exemplar_file_id for job in self._jobs(tmp_path, paths, seed=3)}
+        assert ids <= {f"exemplar{i}.umr" for i in range(5)}
 
     def test_wrong_file_count(self, tmp_path):
         paths = self._write_files(tmp_path, n=4)
-        with pytest.raises(WrongFileCount):
-            sample_exemplar(paths, seed=0, draw_index=0)
+        with pytest.raises(ConfigError, match="exactly 5 exemplar_paths"):
+            self._config(tmp_path, paths, seed=0)
 
     def test_single_distinct_file_repeated(self, tmp_path):
         path = self._write_files(tmp_path, n=1)[0]
-        doc = sample_exemplar([path] * 5, seed=11, draw_index=40)
-        assert doc.source_id == "exemplar0.umr"
+        jobs = self._jobs(tmp_path, [path] * 5, seed=11)
+        assert {job.exemplar_file_id for job in jobs} == {"exemplar0.umr"}
 
     def test_matches_draw_indices_stream(self, tmp_path):
         paths = self._write_files(tmp_path)
-        stream = exemplar_draw_indices(seed=5, n_draws=20, n_choices=5)
-        for k in (0, 7, 19):
-            doc = sample_exemplar(paths, seed=5, draw_index=k)
-            assert doc.source_id == f"exemplar{stream[k]}.umr"
+        jobs = self._jobs(tmp_path, paths, seed=5)
+        stream = exemplar_draw_indices(seed=5, n_draws=len(jobs), n_choices=5)
+        assert [job.exemplar_file_id for job in jobs] == [f"exemplar{k}.umr" for k in stream]
+        assert len(set(stream)) > 1
 
     def test_draws_are_roughly_uniform(self):
         # 10000 draws over 5 files: expected 2000 each, binomial sd = 40
