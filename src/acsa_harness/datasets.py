@@ -110,11 +110,6 @@ class DatasetSplit:
                     )
 
 
-def category_inventory(split: DatasetSplit) -> list[str]:
-    """Stable ordered category list; this exact list fills the prompts."""
-    return list(split.categories)
-
-
 def read_inventory(path: str | Path) -> list[str]:
     """Read a one-category-per-line inventory file, keeping file order.
 

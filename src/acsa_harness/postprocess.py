@@ -9,8 +9,11 @@ cannot be mapped. Every mapping decision is kept for audit.
 from __future__ import annotations
 
 import difflib
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .datasets import Pair, Polarity
 
@@ -210,25 +213,58 @@ def _fold(s: str) -> str:
 class PreparedInventory:
     """An inventory prepared once for the fuzzy search.
 
-    Each entry is kept with its folded spelling, that spelling's
-    character counts (for the shared-character bound) and, per
-    character, the bitmask of its positions (for the LCS bound). A run
-    prepares its category inventory once; nothing changes it afterwards,
-    so one instance is shared by every worker thread.
+    Each entry is kept with its folded spelling and, per character, the
+    bitmask of its positions (for the LCS bound). ``exact`` maps each
+    folded spelling to the position of its first entry.
+
+    For the shared-character bound, character counts are packed across
+    entries: ``lanes[ch][h]`` is one int whose lane i holds
+    ``min(count of ch in entry i, h)``, for h from 0 up to the largest
+    count of ``ch`` in any entry. Adding up, for each distinct character
+    of a candidate, the int at the candidate's count of it (capped at
+    that largest count) leaves in lane i the number of characters the
+    candidate shares with entry i. The lanes lie as the items of an
+    ``array`` of typecode ``lane_code`` in native byte order, so
+    ``int.to_bytes(lane_bytes, sys.byteorder)`` reads them back. The
+    typecode is the first of ``B``, ``H``, ``I``, ``Q`` whose range
+    holds the longest folded entry: 8-bit lanes below 256 characters,
+    16-bit ones from 256. A lane's sum never exceeds its entry's length,
+    so it never carries into the next lane.
+
+    A run prepares its category inventory once; nothing changes it
+    afterwards, so one instance is shared by every worker thread.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "lengths", "exact", "lanes", "lane_code", "lane_bytes")
 
     def __init__(self, inventory):
+        folded = [(entry, _fold(entry)) for entry in inventory]
+        self.lengths = tuple(len(text) for _, text in folded)
+        longest = max(self.lengths, default=0)
+        self.lane_code = next(c for c in "BHIQ" if longest < 1 << 8 * array(c).itemsize)
+        zeros = array(self.lane_code, [0]) * len(folded)
+        self.lane_bytes = len(folded) * zeros.itemsize
         entries = []
-        for entry in inventory:
-            text = _fold(entry)
+        self.exact: dict[str, int] = {}
+        # steps[ch][h - 1] holds 1 in the lane of every entry with ch at least h times
+        steps: dict[str, list[array]] = {}
+        for index, (entry, text) in enumerate(folded):
             masks: dict[str, int] = {}
             for i, ch in enumerate(text):
                 masks[ch] = masks.get(ch, 0) | 1 << i
-            counts = tuple((ch, mask.bit_count()) for ch, mask in masks.items())
-            entries.append((entry, text, counts, masks))
+            for ch, mask in masks.items():
+                step = steps.setdefault(ch, [])
+                for h in range(mask.bit_count()):
+                    if h == len(step):
+                        step.append(zeros[:])
+                    step[h][index] = 1
+            self.exact.setdefault(text, index)
+            entries.append((entry, text, masks))
         self.entries = tuple(entries)
+        self.lanes = {
+            ch: (0, *accumulate(int.from_bytes(ones.tobytes(), sys.byteorder) for ones in step))
+            for ch, step in steps.items()
+        }
 
 
 def _lcs_length(candidate: str, masks: dict[str, int], length: int) -> int:
@@ -250,19 +286,42 @@ def _lcs_length(candidate: str, masks: dict[str, int], length: int) -> int:
     return length - v.bit_count()
 
 
+def _shared_counts(folded: str, inventory: PreparedInventory) -> memoryview:
+    """Per entry, the size of the common character multiset of
+    ``folded`` and the entry's folded spelling, read from the packed
+    lanes with one addition per distinct character of ``folded``.
+    """
+    lanes = inventory.lanes
+    packed = 0
+    for ch, have in Counter(folded).items():
+        by_count = lanes.get(ch)
+        if by_count is not None:
+            packed += by_count[have] if have < len(by_count) else by_count[-1]
+    shared = memoryview(packed.to_bytes(inventory.lane_bytes, sys.byteorder))
+    return shared.cast(inventory.lane_code)
+
+
 def _best_category(folded: str, inventory: PreparedInventory) -> tuple[str | None, float]:
     """The earliest entry whose folded spelling is most similar to the
     already folded ``folded``, and that similarity.
 
-    Best-first search. Every entry gets an upper bound on its ratio
-    2*M/(|a|+|b|) from the size of the two strings' common character
-    multiset (difflib's quick_ratio), and entries are visited by
+    The ratio is 1.0 only for identical strings, so a candidate equal to
+    a folded entry returns the first such entry at 1.0 from
+    ``inventory.exact``, before any bound is computed: the answer
+    scoring every entry gives.
+
+    Otherwise, best-first search. Every entry gets an upper bound on its
+    ratio 2*M/(|a|+|b|) from the size of the two strings' common
+    character multiset (difflib's quick_ratio), read for all entries at
+    once from the inventory's packed lanes (``_shared_counts``), and
+    entries are visited by
     descending bound, then by inventory position. Before an entry is
     scored, a tighter bound replaces M by the length of the longest
     common subsequence: the matched blocks appear in the same order in
     both strings, so M <= LCS <= the common multiset. Both bounds use
     the ratio's own float expression, so neither is ever below the
-    ratio.
+    ratio. |a|+|b| is never 0 here: "" against an entry folded to ""
+    is an exact hit.
 
     A score replaces the best when it is greater, or equal at an
     earlier position. The search stops at the first entry whose bound
@@ -272,17 +331,17 @@ def _best_category(folded: str, inventory: PreparedInventory) -> tuple[str | Non
     its score and the earliest-position tie-break are exactly those of
     scoring every entry.
     """
-    size = len(folded)
-    available = Counter(folded).get
     entries = inventory.entries
-    order = []
-    for index, (_, text, counts, _) in enumerate(entries):
-        common = 0
-        for ch, n in counts:
-            have = available(ch, 0)
-            common += n if n < have else have
-        total = size + len(text)
-        order.append((-2.0 * common / total if total else -1.0, index))  # "" vs "" scores 1.0
+    hit = inventory.exact.get(folded)
+    if hit is not None:
+        return entries[hit][0], 1.0
+    size = len(folded)
+    order = [
+        (-2.0 * common / (size + length), index)
+        for index, (common, length) in enumerate(
+            zip(_shared_counts(folded, inventory), inventory.lengths)
+        )
+    ]
     order.sort()
     best: str | None = None
     best_score = -1.0
@@ -293,12 +352,10 @@ def _best_category(folded: str, inventory: PreparedInventory) -> tuple[str | Non
             break
         if bound == best_score and index > best_index:
             continue
-        entry, text, _, masks = entries[index]
-        total = size + len(text)
-        if total:
-            bound = 2.0 * _lcs_length(folded, masks, len(text)) / total
-            if bound < best_score or (bound == best_score and index > best_index):
-                continue
+        entry, text, masks = entries[index]
+        bound = 2.0 * _lcs_length(folded, masks, len(text)) / (size + len(text))
+        if bound < best_score or (bound == best_score and index > best_index):
+            continue
         score = similarity(folded, text)
         if score > best_score or (score == best_score and index < best_index):
             best, best_score, best_index = entry, score, index
@@ -310,10 +367,7 @@ _PREPARED_POLARITY_LABELS = PreparedInventory(_POLARITY_LABELS)
 
 def normalize_polarity(text: str, cutoff: float = DEFAULT_CUTOFF) -> Polarity | None:
     """Map free-text polarity onto the three labels, fuzzily below exactness."""
-    folded = text.strip().casefold()
-    if folded in _POLARITY_LABELS:
-        return Polarity(folded)
-    label, score = _best_category(folded, _PREPARED_POLARITY_LABELS)
+    label, score = _best_category(text.strip().casefold(), _PREPARED_POLARITY_LABELS)
     if score >= cutoff:
         return Polarity(label)
     return None

@@ -1,9 +1,10 @@
 """Prompt construction for the two chat strategies.
 
-The user-message templates live as text resources next to this module and
-are substituted verbatim: builders only fill the placeholder slots, so a
-prompt built from identity placeholder values reproduces the template
-byte for byte (the fidelity tests rely on this).
+The user-message templates are text files in ``templates/`` next to
+this module, read by path, and are substituted verbatim: builders only
+fill the placeholder slots, so a prompt built from identity placeholder
+values reproduces the template byte for byte (the fidelity tests rely
+on this).
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
+from pathlib import Path
 from typing import Mapping, Sequence
+
+_TEMPLATES = Path(__file__).with_name("templates")
 
 PLACEHOLDERS = ("<CATEGORIES>", "<REVIEW_TEXT>", "<UMR_EXAMPLES>", "<NEW_TEXT>", "<DOMAIN>")
 
@@ -48,7 +51,7 @@ class PromptBundle:
 
 @lru_cache(maxsize=None)
 def _template(name: str) -> str:
-    return resources.files("acsa_harness").joinpath(f"templates/{name}.txt").read_text("utf-8")
+    return (_TEMPLATES / f"{name}.txt").read_text("utf-8")
 
 
 def baseline_template() -> str:
@@ -81,10 +84,6 @@ def substitute(template: str, values: Mapping[str, str]) -> str:
 def render_categories(categories: Sequence[str]) -> str:
     """Comma-separated single-quoted categories, in inventory order."""
     return ", ".join(f"'{c}'" for c in categories)
-
-
-def system_instruction() -> str:
-    return SYSTEM_INSTRUCTION
 
 
 def build_baseline_prompt(categories: Sequence[str], review: str) -> PromptBundle:

@@ -295,7 +295,6 @@ def prepare_jobs(config: RunConfig, split: ds.DatasetSplit) -> list[_Job]:
     The per-sample exemplar draw is indexed by the sample's position in
     the split, so concurrent completion order cannot perturb randomness.
     """
-    categories = ds.category_inventory(split)
     params = DecodeParams(config.temperature, config.top_p, config.max_output_tokens)
     domain = ds.DOMAIN_BY_DATASET[config.dataset]
     jobs: list[_Job] = []
@@ -312,14 +311,14 @@ def prepare_jobs(config: RunConfig, split: ds.DatasetSplit) -> list[_Job]:
                 blocks[draws[i]],
                 sample.text,
                 domain,
-                categories,
+                split.categories,
                 exemplar_file_id=doc.source_id,
             )
             request = ChatRequest(config.model_id, bundle.system, bundle.user, params)
             jobs.append(_Job(i, sample.id, request, doc.source_id))
     else:
         for i, sample in enumerate(split.samples):
-            bundle = build_baseline_prompt(categories, sample.text)
+            bundle = build_baseline_prompt(split.categories, sample.text)
             request = ChatRequest(config.model_id, bundle.system, bundle.user, params)
             jobs.append(_Job(i, sample.id, request, None))
     return jobs
@@ -394,7 +393,7 @@ def run(config: RunConfig) -> RunSummary:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     split = _load_split(config)
-    inventory = pp.PreparedInventory(ds.category_inventory(split))
+    inventory = pp.PreparedInventory(split.categories)
     jobs = prepare_jobs(config, split)
     client = ChatClient(
         make_backend(config),

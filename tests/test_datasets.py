@@ -11,7 +11,6 @@ from acsa_harness.datasets import (
     Pair,
     Polarity,
     UnknownPolarityValue,
-    category_inventory,
     load_dataset,
     load_mams,
     load_semeval_xml,
@@ -236,12 +235,6 @@ class TestInventoryAndCounts:
         path.write_text("FOOD#QUALITY\nFOOD#QUALITY\n", "utf-8")
         with pytest.raises(DatasetError):
             read_inventory(path)
-
-    def test_category_inventory_order(self, tmp_path):
-        path = tmp_path / "rest.xml"
-        path.write_text(SEMEVAL_XML, "utf-8")
-        split = load_semeval_xml(path, "Restaurant16")
-        assert category_inventory(split) == list(split.categories)
 
     def test_verify_official_counts_mismatch(self, tmp_path):
         path = tmp_path / "rest.xml"

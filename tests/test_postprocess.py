@@ -3,6 +3,7 @@ import json
 import random
 import string
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,7 @@ from acsa_harness.postprocess import (
     _fold,
     _lcs_length,
     _scan_list,
+    _shared_counts,
     normalize_polarity,
     similarity,
 )
@@ -362,8 +364,21 @@ class TestBestCategoryMatchesExhaustiveSearch:
 
         monkeypatch.setattr(postprocess, "similarity", counting_similarity)
         inventory = PreparedInventory(["food", "FOOD", " Food "])
-        assert _best_category("food", inventory) == ("food", 1.0)
+        assert _best_category("foods", inventory) == ("food", similarity("foods", "food"))
         assert len(calls) == 1
+
+    def test_exact_hit_scores_nothing(self, monkeypatch):
+        calls = []
+
+        def counting_similarity(a, b):
+            calls.append((a, b))
+            return similarity(a, b)
+
+        monkeypatch.setattr(postprocess, "similarity", counting_similarity)
+        inventory = PreparedInventory(["drinks", " Food ", "food", "FOOD"])
+        assert _best_category("food", inventory) == (" Food ", 1.0)
+        assert _best_category("drinks", inventory) == ("drinks", 1.0)
+        assert calls == []
 
     def test_duplicate_entries(self):
         rng = random.Random(12)
@@ -391,6 +406,31 @@ class TestBestCategoryMatchesExhaustiveSearch:
             self._check(short, inventory)
             self._check(long, inventory)
 
+    def test_lane_width_switch(self):
+        rng = random.Random(20)
+        for length in (255, 256, 300):
+            long_entry = "".join(rng.choice("ab#") for _ in range(length))
+            inventory = ["a" * 40 + "b", long_entry, "ab#", _typo(rng, long_entry)]
+            assert PreparedInventory(inventory).lane_code == ("B" if length < 256 else "H")
+            # a candidate sharing every character with the long entry
+            # fills its lane to the entry's length
+            self._check(long_entry + "ab#", inventory)
+            self._check(_typo(rng, long_entry), inventory)
+            self._check(long_entry[: length // 2], inventory)
+            self._check("a" * 300 + "b" * 300, inventory)
+            self._check("ab", inventory)
+
+    def test_characters_in_no_entry(self):
+        for candidate in ("xyz", "food xyz", "ü", "\x00", "qqqq"):
+            self._check(candidate, RESTAURANT_INVENTORY)
+            self._check(candidate, ["ab", "ba", "food"])
+
+    def test_whitespace_only_entry(self):
+        for inventory in (["food", "  \t "], ["\n", "food", " "], ["a", "b", "   "]):
+            assert "" in PreparedInventory(inventory).exact
+            for candidate in ("", " ", "food", "a", "x"):
+                self._check(candidate, inventory)
+
     def test_laptop_style_inventory(self):
         assert len(LAPTOP_STYLE_INVENTORY) == 67
         rng = random.Random(14)
@@ -408,6 +448,48 @@ class TestBestCategoryMatchesExhaustiveSearch:
                 assert outcome.mapped.category == entry
 
 
+class TestPackedLanes:
+    """The shared-character counts read from the packed lanes equal
+    ``sum(min(n, have))`` per entry."""
+
+    ALPHABET = "aAbBcß#_-/: "
+
+    @staticmethod
+    def _check(candidate, inventory):
+        have = Counter(candidate)
+        expected = [
+            sum(min(n, have[ch]) for ch, n in Counter(text).items())
+            for _, text, _ in inventory.entries
+        ]
+        assert list(_shared_counts(candidate, inventory)) == expected, candidate
+
+    def test_seeded_random_strings(self):
+        rng = random.Random(21)
+        for _ in range(1000):
+            inventory = PreparedInventory(
+                "".join(rng.choice(self.ALPHABET) for _ in range(rng.randrange(0, 30)))
+                for _ in range(rng.randrange(1, 12))
+            )
+            candidate = "".join(rng.choice(self.ALPHABET + "xyz") for _ in range(rng.randrange(0, 40)))
+            candidate = _fold(candidate)
+            self._check(candidate, inventory)
+
+    def test_wide_lanes(self):
+        rng = random.Random(22)
+        for length in (255, 256, 300, 70000):
+            entries = ["".join(rng.choice("ab") for _ in range(length)), "a", "b" * 3]
+            inventory = PreparedInventory(entries)
+            for candidate in ("a" * 70000 + "b" * 70000, entries[0], "ab", "xyz"):
+                self._check(candidate, inventory)
+
+    def test_laptop_style_inventory(self):
+        rng = random.Random(23)
+        inventory = PreparedInventory(LAPTOP_STYLE_INVENTORY)
+        for _ in range(300):
+            candidate = _fold(_laptop_style_candidate(rng))
+            self._check(candidate, inventory)
+
+
 class TestLcsLength:
     """The bit-parallel LCS over a prepared entry equals the dynamic
     program, and its ratio bounds the similarity from above."""
@@ -415,8 +497,8 @@ class TestLcsLength:
     ALPHABET = "aAbBß#_-/: "
 
     def _check(self, candidate, entry):
-        ((_, text, counts, masks),) = PreparedInventory([entry]).entries
-        assert sum(n for _, n in counts) == len(text)
+        ((_, text, masks),) = PreparedInventory([entry]).entries
+        assert sum(mask.bit_count() for mask in masks.values()) == len(text)
         folded = _fold(candidate)
         got = _lcs_length(folded, masks, len(text))
         assert got == _reference_lcs(folded, text), (candidate, entry)

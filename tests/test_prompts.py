@@ -4,6 +4,7 @@ import pytest
 
 from acsa_harness.prompts import (
     PLACEHOLDERS,
+    SYSTEM_INSTRUCTION,
     EmptyCategories,
     EmptyExemplars,
     PromptError,
@@ -12,7 +13,6 @@ from acsa_harness.prompts import (
     build_umr_prompt,
     render_categories,
     substitute,
-    system_instruction,
     template_version,
     umr_template,
 )
@@ -99,7 +99,7 @@ class TestBaselineBuilder:
         bundle = build_baseline_prompt(["Food"], "Great pizza")
         assert bundle.method == "baseline"
         assert bundle.exemplar_file_id is None
-        assert bundle.system == system_instruction()
+        assert bundle.system == SYSTEM_INSTRUCTION
         assert bundle.template_version == template_version()
 
 

@@ -9,10 +9,12 @@ import pytest
 from acsa_harness import cli
 from acsa_harness.datasets import load_semeval_xml
 from acsa_harness.llm import write_cache_file
+from acsa_harness.prompts import render_categories
 from acsa_harness.runner import (
     ConfigError,
     RunConfig,
     RunDataError,
+    _load_split,
     load_config,
     parse_flat_config,
     prepare_jobs,
@@ -180,6 +182,19 @@ class TestRun:
         assert manifest["counts"]["samples"] == 4
         assert manifest["counts"]["format_failures"] == 1
         assert manifest["results_sha256"]
+
+    def test_category_inventory_order(self, tmp_path):
+        # the split the run loads keeps the inventory file's order, and that
+        # exact list fills every prompt of both methods
+        order = ["SERVICE#GENERAL", "FOOD#QUALITY", "DRINKS#PRICES", "AMBIENCE#GENERAL"]
+        inventory_path = tmp_path / "inventory.txt"
+        inventory_path.write_text("\n".join(order) + "\n", "utf-8")
+        for method in ("baseline", "umr"):
+            config = make_config(tmp_path, method, inventory_path=str(inventory_path))
+            split = _load_split(config)
+            assert split.categories == tuple(order)
+            for job in prepare_jobs(config, split):
+                assert render_categories(order) in job.request.user
 
     def test_replay_determinism_across_invocations(self, tmp_path):
         config = make_config(tmp_path)
