@@ -303,12 +303,23 @@ class ChatClient:
             return None
         return read_cache_file(path, key)
 
-    def chat(self, request: ChatRequest) -> ChatResponse:
+    def _admit(self, request: ChatRequest) -> None:
         if self.strict_greedy and not request.params.is_greedy:
             raise GreedyViolation(
                 f"non-greedy decode params rejected: temperature="
                 f"{request.params.temperature}, top_p={request.params.top_p}"
             )
+
+    def is_cached(self, request: ChatRequest) -> bool:
+        """Whether the cache holds a file for ``request``, by its existence
+        alone; ``chat`` still reads and verifies it. Like ``chat``, raises
+        GreedyViolation before looking, under ``strict_greedy``."""
+        self._admit(request)
+        path = self._cache_path(request.cache_key)
+        return path is not None and path.exists()
+
+    def chat(self, request: ChatRequest) -> ChatResponse:
+        self._admit(request)
         key = request.cache_key
         cached = self._cache_lookup(key)
         if cached is not None:

@@ -232,7 +232,7 @@ class PreparedInventory:
     so it never carries into the next lane.
 
     A run prepares its category inventory once; nothing changes it
-    afterwards, so one instance is shared by every worker thread.
+    afterwards, so one instance can be shared across threads.
     """
 
     __slots__ = ("entries", "lengths", "exact", "lanes", "lane_code", "lane_bytes")
@@ -314,14 +314,13 @@ def _best_category(folded: str, inventory: PreparedInventory) -> tuple[str | Non
     ratio 2*M/(|a|+|b|) from the size of the two strings' common
     character multiset (difflib's quick_ratio), read for all entries at
     once from the inventory's packed lanes (``_shared_counts``), and
-    entries are visited by
-    descending bound, then by inventory position. Before an entry is
-    scored, a tighter bound replaces M by the length of the longest
-    common subsequence: the matched blocks appear in the same order in
-    both strings, so M <= LCS <= the common multiset. Both bounds use
-    the ratio's own float expression, so neither is ever below the
-    ratio. |a|+|b| is never 0 here: "" against an entry folded to ""
-    is an exact hit.
+    entries are visited by descending bound, then by inventory position.
+    Before an entry is scored, a tighter bound replaces M by the length
+    of the longest common subsequence: the matched blocks appear in the
+    same order in both strings, so M <= LCS <= the common multiset. Both
+    bounds use the ratio's own float expression, so neither is ever
+    below the ratio. |a|+|b| is never 0 here: "" against an entry folded
+    to "" is an exact hit.
 
     A score replaces the best when it is greater, or equal at an
     earlier position. The search stops at the first entry whose bound
@@ -336,16 +335,24 @@ def _best_category(folded: str, inventory: PreparedInventory) -> tuple[str | Non
     if hit is not None:
         return entries[hit][0], 1.0
     size = len(folded)
+    bounds = [
+        2.0 * common / (size + length)
+        for common, length in zip(_shared_counts(folded, inventory), inventory.lengths)
+    ]
+    if not bounds:
+        return None, 0.0
+    # The first entry in visiting order is always scored, and nothing
+    # bounded below its score is ever reached, so only the rest of the
+    # entries at or above that score are sorted.
+    best_index = bounds.index(max(bounds))
+    best, text, _ = entries[best_index]
+    best_score = similarity(folded, text)
     order = [
-        (-2.0 * common / (size + length), index)
-        for index, (common, length) in enumerate(
-            zip(_shared_counts(folded, inventory), inventory.lengths)
-        )
+        (-bound, index)
+        for index, bound in enumerate(bounds)
+        if bound >= best_score and index != best_index
     ]
     order.sort()
-    best: str | None = None
-    best_score = -1.0
-    best_index = len(entries)
     for negated_bound, index in order:
         bound = -negated_bound
         if bound < best_score:
@@ -359,7 +366,7 @@ def _best_category(folded: str, inventory: PreparedInventory) -> tuple[str | Non
         score = similarity(folded, text)
         if score > best_score or (score == best_score and index < best_index):
             best, best_score, best_index = entry, score, index
-    return best, max(best_score, 0.0)
+    return best, best_score
 
 
 _PREPARED_POLARITY_LABELS = PreparedInventory(_POLARITY_LABELS)

@@ -5,6 +5,13 @@ UMR exemplar per sample position under the run seed), sends each request
 through the cached chat client, post-processes the outputs, and writes
 one JSONL record per sample plus a manifest. With the replay backend the
 whole pipeline is bit-deterministic across runs and machines.
+
+Only requests that go out to the HTTP backend run on a thread pool of
+``concurrency`` workers, where they overlap their network waits. Every
+answer read from local disk (a cache hit or a replay fixture), and all
+extraction, mapping and record building, runs on the calling thread in
+sample order: that work is pure CPU, which threads would only contend
+for under the interpreter lock.
 """
 
 from __future__ import annotations
@@ -26,8 +33,10 @@ from .llm import (
     BackendRefused,
     ChatClient,
     ChatRequest,
+    ChatResponse,
     DecodeParams,
     HttpBackend,
+    LlmError,
     MissingFixture,
     RateLimited,
     ReplayBackend,
@@ -339,8 +348,36 @@ def _outcome_to_json(outcome: pp.MappingOutcome) -> dict:
     }
 
 
+# Faults that concern one sample: recorded in its record, and the run goes
+# on. Any other exception from ``ChatClient.chat`` ends the run.
+SAMPLE_FAULTS = (TransportError, RateLimited, BackendRefused, MissingFixture)
+
+
+def _fetch(client: ChatClient, request: ChatRequest, halt: threading.Event | None = None):
+    """``client.chat(request)``, or the per-sample fault it raised.
+
+    Pool workers pass ``halt``. A run-fatal fault there sets it before
+    it propagates, and a call dequeued after that returns None without
+    sending anything. That None is never read: the run reads answers in
+    sample order and raises at the failed call, which was queued first.
+    """
+    if halt is not None and halt.is_set():
+        return None
+    try:
+        return client.chat(request)
+    except SAMPLE_FAULTS as err:
+        return err
+    except BaseException:
+        if halt is not None:
+            halt.set()
+        raise
+
+
 def _process_job(
-    job: _Job, client: ChatClient, inventory: pp.PreparedInventory, cutoff: float
+    job: _Job,
+    answer: ChatResponse | LlmError,
+    inventory: pp.PreparedInventory,
+    cutoff: float,
 ):
     record = {
         "schema_version": RESULTS_SCHEMA_VERSION,
@@ -355,14 +392,12 @@ def _process_job(
         "format_failure": False,
         "error": None,
     }
-    try:
-        response = client.chat(job.request)
-    except (TransportError, RateLimited, BackendRefused, MissingFixture) as err:
-        record["error"] = f"{type(err).__name__}: {err}"
+    if isinstance(answer, LlmError):
+        record["error"] = f"{type(answer).__name__}: {answer}"
         return record, None, 0
-    record["raw_output"] = response.text
+    record["raw_output"] = answer.text
     try:
-        raw_pairs = pp.extract_pair_list(response.text)
+        raw_pairs = pp.extract_pair_list(answer.text)
     except pp.NoListFound:
         record["format_failure"] = True
         raw_pairs = []
@@ -371,7 +406,7 @@ def _process_job(
     record["outcomes"] = [_outcome_to_json(o) for o in outcomes]
     record["pairs"] = _pairs_to_json(pairs)
     dropped = sum(1 for o in outcomes if o.dropped_reason is not None)
-    return record, response.backend, dropped
+    return record, answer.backend, dropped
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -384,10 +419,12 @@ def _atomic_write(path: Path, data: str) -> None:
 def run(config: RunConfig) -> RunSummary:
     """Execute one (dataset, method, model) run end to end.
 
-    Per-sample transport errors are recorded, not fatal; the caller
-    decides what to do when their rate exceeds TRANSPORT_FAILURE_LIMIT.
-    Results are written in sample order; the manifest is written last,
-    atomically.
+    Per-sample faults (SAMPLE_FAULTS) are recorded, not fatal; the
+    caller decides what to do when their rate exceeds
+    TRANSPORT_FAILURE_LIMIT. Any other fault, such as AuthError,
+    GreedyViolation or CacheCorrupt, cancels the HTTP calls still queued
+    and propagates. Results are written in sample order; the manifest is
+    written last, atomically.
     """
     config.validate()
     started = datetime.now(timezone.utc).isoformat()
@@ -401,12 +438,29 @@ def run(config: RunConfig) -> RunSummary:
         strict_greedy=config.strict_greedy,
         max_concurrency=config.concurrency,
     )
+    over_network = config.backend == "http"
+    halt = threading.Event()
+    # a pool starts its threads on submit, so a run with no network call starts none
     with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        futures = [
-            pool.submit(_process_job, job, client, inventory, config.cutoff)
-            for job in jobs
-        ]
-        outcomes = [future.result() for future in futures]  # submission order
+        try:
+            futures = [
+                pool.submit(_fetch, client, job.request, halt)
+                if over_network and not client.is_cached(job.request)
+                else None
+                for job in jobs
+            ]
+            outcomes = [
+                _process_job(
+                    job,
+                    _fetch(client, job.request) if future is None else future.result(),
+                    inventory,
+                    config.cutoff,
+                )
+                for job, future in zip(jobs, futures)
+            ]
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
     records = [record for record, _, _ in outcomes]
     n_cache_hits = sum(1 for _, backend, _ in outcomes if backend == "cache")

@@ -215,6 +215,22 @@ class TestChatClient:
         client.chat(make_request())  # greedy passes
         assert backend.calls == 1
 
+    def test_is_cached_checks_file_existence(self, tmp_path):
+        request = make_request()
+        client = ChatClient(FakeBackend(), cache_dir=tmp_path / "cache")
+        assert not client.is_cached(request)
+        client.chat(request)
+        assert client.is_cached(request)
+        assert not ChatClient(FakeBackend()).is_cached(request)  # no cache dir
+
+    def test_strict_greedy_rejects_cached_request(self, tmp_path):
+        request = make_request(temperature=0.7)
+        ChatClient(FakeBackend(), cache_dir=tmp_path / "cache").chat(request)
+        strict = ChatClient(FakeBackend(), cache_dir=tmp_path / "cache", strict_greedy=True)
+        for call in (strict.is_cached, strict.chat):
+            with pytest.raises(GreedyViolation):
+                call(request)
+
     def test_warm_cache_summary(self, tmp_path):
         backend = FakeBackend()
         client = ChatClient(backend, cache_dir=tmp_path / "cache")

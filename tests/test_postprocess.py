@@ -89,6 +89,31 @@ def _reference_lcs(a, b):
     return row[-1]
 
 
+def _reference_scored(folded, texts):
+    """The folded entries, in order, that best-first search over a full
+    (-bound, index) sort scores with ``similarity``, with every bound
+    from the reference definitions."""
+    size, have = len(folded), Counter(folded)
+    order = sorted(
+        (-2.0 * sum(min(n, have[ch]) for ch, n in Counter(text).items()) / (size + len(text)), i)
+        for i, text in enumerate(texts)
+    )
+    best_score, best_index, scored = -1.0, len(texts), []
+    for negated_bound, i in order:
+        if -negated_bound < best_score:
+            break
+        if -negated_bound == best_score and i > best_index:
+            continue
+        bound = 2.0 * _reference_lcs(folded, texts[i]) / (size + len(texts[i]))
+        if bound < best_score or (bound == best_score and i > best_index):
+            continue
+        scored.append(texts[i])
+        score = similarity(folded, texts[i])
+        if score > best_score or (score == best_score and i < best_index):
+            best_score, best_index = score, i
+    return scored
+
+
 def _reference_extract(raw_output):
     """The forward scan: try every '[' and keep the last list that parses."""
     found = None
@@ -366,6 +391,30 @@ class TestBestCategoryMatchesExhaustiveSearch:
         inventory = PreparedInventory(["food", "FOOD", " Food "])
         assert _best_category("foods", inventory) == ("food", similarity("foods", "food"))
         assert len(calls) == 1
+
+    def test_scores_what_a_full_sort_scores(self, monkeypatch):
+        # only the entries at or above the first score are sorted; the
+        # entries scored, and their order, are those of sorting them all
+        scored = []
+
+        def recording_similarity(a, b):
+            scored.append(b)
+            return similarity(a, b)
+
+        monkeypatch.setattr(postprocess, "similarity", recording_similarity)
+        rng = random.Random(19)
+        cases = [(_laptop_style_candidate(rng), LAPTOP_STYLE_INVENTORY) for _ in range(300)]
+        for _ in range(300):  # anagrams of one multiset share their bound
+            base = "".join(rng.choice("abc#") for _ in range(rng.randrange(1, 6)))
+            inventory = ["".join(rng.sample(base, len(base))) + rng.choice(("", "a")) for _ in range(8)]
+            cases.append(("".join(rng.sample(base, len(base))) + rng.choice(("", "b")), inventory))
+        for candidate, inventory in cases:
+            folded, prepared = _fold(candidate), PreparedInventory(inventory)
+            if folded in prepared.exact:
+                continue
+            scored.clear()
+            _best_category(folded, prepared)
+            assert scored == _reference_scored(folded, [_fold(e) for e in inventory]), candidate
 
     def test_exact_hit_scores_nothing(self, monkeypatch):
         calls = []

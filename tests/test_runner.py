@@ -2,13 +2,22 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from acsa_harness import cli
+from acsa_harness import cli, runner
 from acsa_harness.datasets import load_semeval_xml
-from acsa_harness.llm import write_cache_file
+from acsa_harness.llm import (
+    AuthError,
+    CacheCorrupt,
+    ChatClient,
+    GreedyViolation,
+    HttpBackend,
+    ReplayBackend,
+    write_cache_file,
+)
 from acsa_harness.prompts import render_categories
 from acsa_harness.runner import (
     ConfigError,
@@ -96,16 +105,98 @@ def make_config(tmp_path, method="baseline", **overrides) -> RunConfig:
     return config
 
 
-def write_fixtures(config: RunConfig, canned=CANNED, skip=()):
+def write_fixtures(config: RunConfig, canned=CANNED, skip=(), directory=None):
+    """Write each sample's canned output in the cache format, into the
+    fixture dir or ``directory``."""
     split = load_semeval_xml(config.dataset_path, config.dataset)
     for job in prepare_jobs(config, split):
         if job.sample_id in skip:
             continue
         write_cache_file(
-            Path(config.fixture_dir) / f"{job.request.cache_key}.json",
+            Path(directory or config.fixture_dir) / f"{job.request.cache_key}.json",
             job.request,
             canned[job.sample_id],
         )
+
+
+def many_sentences_xml(n: int) -> str:
+    sentences = "".join(
+        f'<sentence id="m:{i}"><text>Sentence number {i} about the food.</text>'
+        '<Opinions><Opinion category="FOOD#QUALITY" polarity="positive"/></Opinions>'
+        "</sentence>"
+        for i in range(n)
+    )
+    return f"<Reviews><Review rid=\"1\"><sentences>{sentences}</sentences></Review></Reviews>"
+
+
+class FakeResponse:
+    def __init__(self, status_code, text=""):
+        self.status_code = status_code
+        self.text = text
+
+    def json(self):
+        return {"choices": [{"message": {"content": self.text}}]}
+
+
+class FakeChatSession:
+    """Stands in for the ``requests`` session of an HttpBackend: answers
+    each post with the output of the sample whose text is in the prompt,
+    or with 401 from its ``fail_from``-th post on. Records the thread of
+    every post, and holds each answer until ``hold`` is set, if given."""
+
+    def __init__(self, answers: dict[str, str], fail_from: int | None = None, hold=None):
+        self.answers = answers  # sample text -> model output
+        self.fail_from = fail_from
+        self.hold = hold
+        self.post_threads: list[int] = []
+        self._lock = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self._lock:
+            self.post_threads.append(threading.get_ident())
+            n = len(self.post_threads)
+        if self.hold is not None:
+            assert self.hold.wait(timeout=10)
+        if self.fail_from is not None and n >= self.fail_from:
+            return FakeResponse(401)
+        user = json["messages"][1]["content"]
+        return FakeResponse(200, next(a for t, a in self.answers.items() if t in user))
+
+
+def use_session(monkeypatch, session) -> None:
+    monkeypatch.setattr(
+        runner, "make_backend", lambda config: HttpBackend(config.base_url, session=session)
+    )
+
+
+def record_chat_threads(monkeypatch) -> list[tuple[str, int]]:
+    """(response backend, thread) of every ChatClient.chat that returns."""
+    answered = []
+    chat = ChatClient.chat
+
+    def recording_chat(self, request):
+        response = chat(self, request)
+        answered.append((response.backend, threading.get_ident()))
+        return response
+
+    monkeypatch.setattr(ChatClient, "chat", recording_chat)
+    return answered
+
+
+def http_config(tmp_path, name: str, **overrides) -> RunConfig:
+    settings = {
+        "backend": "http",
+        "base_url": "http://unit.test/v1",
+        "cache_dir": str(tmp_path / f"cache-{name}"),
+        "output_path": str(tmp_path / f"{name}.jsonl"),
+        **overrides,
+    }
+    return make_config(tmp_path, **settings)
+
+
+def canned_by_text(config: RunConfig) -> dict[str, str]:
+    split = load_semeval_xml(config.dataset_path, config.dataset)
+    return {sample.text: CANNED[sample.id] for sample in split.samples}
 
 
 class TestFlatConfig:
@@ -258,6 +349,119 @@ class TestRun:
         second_summary = run(config)
         assert Path(config.output_path).read_bytes() == first
         assert second_summary.n_cache_hits == 4
+
+
+class TestWhereWorkRuns:
+    """Only calls to the HTTP backend go to the worker pool."""
+
+    def test_replay_run_stays_on_calling_thread(self, tmp_path, monkeypatch):
+        config = make_config(tmp_path, concurrency=4)
+        write_fixtures(config)
+        threads = []
+        complete, process_job = ReplayBackend.complete, runner._process_job
+
+        def recording_complete(self, request):
+            threads.append(threading.get_ident())
+            return complete(self, request)
+
+        def recording_process_job(*args):
+            threads.append(threading.get_ident())
+            return process_job(*args)
+
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(self):
+            started.append(self.name)
+            start(self)
+
+        monkeypatch.setattr(ReplayBackend, "complete", recording_complete)
+        monkeypatch.setattr(runner, "_process_job", recording_process_job)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        summary = run(config)
+        assert summary.n_samples == 4
+        assert threads == [threading.get_ident()] * 8
+        assert started == []
+
+    def test_http_run_sends_only_misses_to_pool(self, tmp_path, monkeypatch):
+        config = http_config(tmp_path, "half-warm", concurrency=4)
+        write_fixtures(config, skip={"t:1", "t:3"}, directory=config.cache_dir)
+        session = FakeChatSession(canned_by_text(config))
+        use_session(monkeypatch, session)
+        answered = record_chat_threads(monkeypatch)
+        summary = run(config)
+        assert summary.n_cache_hits == 2
+        assert len(session.post_threads) == 2
+        main = threading.get_ident()
+        assert main not in session.post_threads
+        assert sorted(answered) == sorted(
+            [("cache", main), ("cache", main), ("http", session.post_threads[0]),
+             ("http", session.post_threads[1])]
+        )
+        records = runner.read_results(config.output_path)
+        assert records["t:0"]["pairs"] == [["FOOD#QUALITY", "positive"]]
+        assert records["t:1"]["pairs"] == [["SERVICE#GENERAL", "negative"]]
+
+    def test_http_concurrency_does_not_change_output(self, tmp_path, monkeypatch):
+        outputs = []
+        for concurrency in (1, 8):
+            config = http_config(tmp_path, f"c{concurrency}", concurrency=concurrency)
+            write_fixtures(config, skip={"t:1", "t:3"}, directory=config.cache_dir)
+            use_session(monkeypatch, FakeChatSession(canned_by_text(config)))
+            run(config)
+            outputs.append(Path(config.output_path).read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("backend", ["http", "replay"])
+    def test_strict_greedy_rejects_cached_response(self, tmp_path, monkeypatch, backend):
+        config = http_config(tmp_path, backend, temperature=0.7, backend=backend)
+        write_fixtures(config, directory=config.cache_dir)
+        write_fixtures(config)
+        session = FakeChatSession(canned_by_text(config))
+        if backend == "http":
+            use_session(monkeypatch, session)
+        assert run(config).n_cache_hits == 4  # so every response is cached
+        config.strict_greedy = True
+        with pytest.raises(GreedyViolation):
+            run(config)
+        assert session.post_threads == []
+
+
+class TestRunFatalFaults:
+    @pytest.mark.parametrize("fail_from,concurrency", [(1, 1), (3, 2), (5, 4), (2, 8)])
+    def test_auth_error_stops_queued_calls(self, tmp_path, monkeypatch, fail_from, concurrency):
+        (tmp_path / "rest_test.xml").write_text(many_sentences_xml(40), "utf-8")
+        config = http_config(tmp_path, "auth", concurrency=concurrency, cache_dir="")
+        session = FakeChatSession({"Sentence": "[]"}, fail_from=fail_from)
+        use_session(monkeypatch, session)
+        with pytest.raises(AuthError):
+            run(config)
+        assert fail_from <= len(session.post_threads) <= fail_from + concurrency
+
+    def test_calling_thread_fault_cancels_queued_calls(self, tmp_path, monkeypatch):
+        # sample 0 is cached but corrupt and read on the calling thread; the
+        # other 39 samples miss and queue for the pool, whose posts are held
+        # until the run first shuts the pool down
+        (tmp_path / "rest_test.xml").write_text(many_sentences_xml(40), "utf-8")
+        config = http_config(tmp_path, "corrupt", concurrency=2)
+        first = prepare_jobs(config, _load_split(config))[0].request
+        corrupt = Path(config.cache_dir) / f"{first.cache_key}.json"
+        corrupt.parent.mkdir()
+        corrupt.write_text("{}", "utf-8")
+        released = threading.Event()
+
+        class HeldPool(runner.ThreadPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                released.set()
+                super().shutdown(wait=wait)
+
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", HeldPool)
+        session = FakeChatSession({"Sentence": "[]"}, hold=released)
+        use_session(monkeypatch, session)
+        with pytest.raises(CacheCorrupt):
+            run(config)
+        assert len(session.post_threads) <= config.concurrency
 
 
 class TestScoreRun:
