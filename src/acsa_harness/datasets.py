@@ -165,24 +165,28 @@ def _finish_split(
     return DatasetSplit(name, split, tuple(samples), categories, n_conflict_dropped)
 
 
-def load_semeval_xml(
+def load_xml(
     path: str | Path,
     name: str,
     split: str = "test",
     drop_conflict: bool = False,
     inventory: Sequence[str] | None = None,
+    container: str = "Opinions",
+    element: str = "Opinion",
 ) -> DatasetSplit:
-    """Load a SemEval-2016 task-5 subtask-1 sentence-level XML file.
+    """Load a sentence-level ACSA XML file.
 
-    One Sample per <sentence> element; Opinion elements carry category and
-    polarity attributes. Sentences without opinions are retained with an
-    empty gold set; duplicate (category, polarity) opinions collapse.
+    One Sample per <sentence> element; each ``element`` inside the
+    sentence's ``container`` carries category and polarity attributes.
+    The defaults read SemEval-2016 task-5 subtask-1 files (Laptop16,
+    Restaurant16); MAMS ACSA files use ``aspectCategories`` and
+    ``aspectCategory``. Sentences without opinions are retained with an
+    empty gold set; duplicate (category, polarity) opinions collapse. A
+    file that cannot be read raises its OSError unchanged.
     """
     try:
         tree = ET.parse(path)
-    except (ET.ParseError, OSError) as err:
-        if isinstance(err, OSError):
-            raise
+    except ET.ParseError as err:
         raise MalformedXml(f"{path}: {err}") from err
     domain = DOMAIN_BY_DATASET.get(name, name.lower())
     samples: list[Sample] = []
@@ -194,13 +198,13 @@ def load_semeval_xml(
         if not text.strip():
             raise MalformedXml(f"sentence {sid!r} has no text element or empty text")
         pairs = set()
-        opinions = sentence.find("Opinions")
+        opinions = sentence.find(container)
         if opinions is not None:
-            for opinion in opinions.findall("Opinion"):
+            for opinion in opinions.findall(element):
                 category = opinion.get("category")
                 if not category:
                     raise MissingCategoryAttribute(
-                        f"sentence {sid!r}: Opinion element without category attribute"
+                        f"sentence {sid!r}: {element} element without category attribute"
                     )
                 polarity = _resolve_polarity(
                     opinion.get("polarity"), f"sentence {sid!r}", drop_conflict
@@ -211,45 +215,6 @@ def load_semeval_xml(
                 pairs.add(Pair(category, polarity))
         samples.append(Sample(sid, text.strip(), frozenset(pairs), domain))
     return _finish_split(name, split, samples, inventory, dropped)
-
-
-def load_mams(
-    path: str | Path,
-    split: str = "test",
-    drop_conflict: bool = False,
-    inventory: Sequence[str] | None = None,
-) -> DatasetSplit:
-    """Load a MAMS ACSA XML file (aspectCategory elements per sentence)."""
-    try:
-        tree = ET.parse(path)
-    except ET.ParseError as err:
-        raise MalformedXml(f"{path}: {err}") from err
-    samples: list[Sample] = []
-    dropped = 0
-    for i, sentence in enumerate(tree.getroot().iter("sentence")):
-        sid = sentence.get("id") or f"s{i + 1}"
-        text_el = sentence.find("text")
-        text = (text_el.text or "") if text_el is not None else ""
-        if not text.strip():
-            raise MalformedXml(f"sentence {sid!r} has no text element or empty text")
-        pairs = set()
-        categories_el = sentence.find("aspectCategories")
-        if categories_el is not None:
-            for aspect in categories_el.findall("aspectCategory"):
-                category = aspect.get("category")
-                if not category:
-                    raise MissingCategoryAttribute(
-                        f"sentence {sid!r}: aspectCategory element without category attribute"
-                    )
-                polarity = _resolve_polarity(
-                    aspect.get("polarity"), f"sentence {sid!r}", drop_conflict
-                )
-                if polarity is None:
-                    dropped += 1
-                    continue
-                pairs.add(Pair(category, polarity))
-        samples.append(Sample(sid, text.strip(), frozenset(pairs), DOMAIN_BY_DATASET["MAMS"]))
-    return _finish_split("MAMS", split, samples, inventory, dropped)
 
 
 def load_shoes(
@@ -345,9 +310,11 @@ def load_dataset(
 ) -> DatasetSplit:
     """Dispatch to the loader for one of the four dataset names."""
     if name in ("Laptop16", "Restaurant16"):
-        return load_semeval_xml(path, name, split, drop_conflict, inventory)
+        return load_xml(path, name, split, drop_conflict, inventory)
     if name == "MAMS":
-        return load_mams(path, split, drop_conflict, inventory)
+        return load_xml(
+            path, name, split, drop_conflict, inventory, "aspectCategories", "aspectCategory"
+        )
     if name == "Shoes":
         return load_shoes(path, split, drop_conflict, inventory)
     raise DatasetError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")

@@ -347,21 +347,30 @@ class ChatClient:
                     del self._inflight[key]
 
     def warm_cache(self, requests_in: Iterable[ChatRequest]) -> WarmSummary:
-        """Fetch every miss with bounded parallelism; idempotent."""
+        """Fetch every miss; idempotent.
+
+        Like ``runner.run``, only an HTTP backend's misses go to a pool of
+        ``max_concurrency`` threads, where they overlap network waits; any
+        other backend answers from local files, so its misses are fetched
+        on the calling thread.
+        """
         unique: dict[str, ChatRequest] = {}
         for request in requests_in:
             unique.setdefault(request.cache_key, request)
         hits = {k for k in unique if self._cache_lookup(k) is not None}
         misses = [request for k, request in unique.items() if k not in hits]
-        fetched = 0
-        failures: list[tuple[str, str]] = []
-        if misses:
+
+        def fetch(request: ChatRequest) -> tuple[str, str] | None:
+            try:
+                self.chat(request)
+            except LlmError as err:
+                return request.cache_key, f"{type(err).__name__}: {err}"
+            return None
+
+        if self.backend.name == "http":
             with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
-                futures = {pool.submit(self.chat, r): r for r in misses}
-                for future, request in futures.items():
-                    try:
-                        future.result()
-                        fetched += 1
-                    except LlmError as err:
-                        failures.append((request.cache_key, f"{type(err).__name__}: {err}"))
-        return WarmSummary(len(hits), len(misses), fetched, tuple(failures))
+                outcomes = list(pool.map(fetch, misses))
+        else:
+            outcomes = [fetch(request) for request in misses]
+        failures = tuple(outcome for outcome in outcomes if outcome is not None)
+        return WarmSummary(len(hits), len(misses), len(misses) - len(failures), failures)

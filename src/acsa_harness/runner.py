@@ -6,6 +6,10 @@ through the cached chat client, post-processes the outputs, and writes
 one JSONL record per sample plus a manifest. With the replay backend the
 whole pipeline is bit-deterministic across runs and machines.
 
+Each record is written to the results file as soon as it is built, so a
+run holds no more than one model answer at a time outside the HTTP calls
+still in flight, however many samples the split has.
+
 Only requests that go out to the HTTP backend run on a thread pool of
 ``concurrency`` workers, where they overlap their network waits. Every
 answer read from local disk (a cache hit or a replay fixture), and all
@@ -22,7 +26,9 @@ import logging
 import os
 import threading
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -409,11 +415,25 @@ def _process_job(
     return record, answer.backend, dropped
 
 
-def _atomic_write(path: Path, data: str) -> None:
+@contextmanager
+def _atomic_file(path: Path):
+    """A text handle on a temp file beside ``path`` that replaces ``path``
+    when the block ends cleanly; on an exception the temp file is removed
+    and ``path`` is left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
-    tmp.write_text(data, "utf-8")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _atomic_write(path: Path, data: str) -> None:
+    with _atomic_file(path) as handle:
+        handle.write(data)
 
 
 def run(config: RunConfig) -> RunSummary:
@@ -423,8 +443,10 @@ def run(config: RunConfig) -> RunSummary:
     caller decides what to do when their rate exceeds
     TRANSPORT_FAILURE_LIMIT. Any other fault, such as AuthError,
     GreedyViolation or CacheCorrupt, cancels the HTTP calls still queued
-    and propagates. Results are written in sample order; the manifest is
-    written last, atomically.
+    and propagates. Each record is written in sample order as soon as it
+    is built, to a temp file that replaces ``output_path`` only once every
+    sample is done; the manifest is written last, atomically. A fault that
+    ends the run removes the temp file and writes no manifest.
     """
     config.validate()
     started = datetime.now(timezone.utc).isoformat()
@@ -440,8 +462,13 @@ def run(config: RunConfig) -> RunSummary:
     )
     over_network = config.backend == "http"
     halt = threading.Event()
+    results_path = Path(config.output_path)
+    digest = hashlib.sha256()
+    n_cache_hits = n_dropped = n_errors = n_format = 0
     # a pool starts its threads on submit, so a run with no network call starts none
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+    with _atomic_file(results_path) as out, ThreadPoolExecutor(
+        max_workers=config.concurrency
+    ) as pool:
         try:
             futures = [
                 pool.submit(_fetch, client, job.request, halt)
@@ -449,29 +476,20 @@ def run(config: RunConfig) -> RunSummary:
                 else None
                 for job in jobs
             ]
-            outcomes = [
-                _process_job(
-                    job,
-                    _fetch(client, job.request) if future is None else future.result(),
-                    inventory,
-                    config.cutoff,
-                )
-                for job, future in zip(jobs, futures)
-            ]
+            for i, job in enumerate(jobs):
+                future, futures[i] = futures[i], None  # drop each answer once written
+                answer = _fetch(client, job.request) if future is None else future.result()
+                record, backend, dropped = _process_job(job, answer, inventory, config.cutoff)
+                line = json.dumps(record, sort_keys=True, ensure_ascii=True) + "\n"
+                out.write(line)
+                digest.update(line.encode("ascii"))
+                n_cache_hits += backend == "cache"
+                n_dropped += dropped
+                n_errors += record["error"] is not None
+                n_format += record["format_failure"]
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
             raise
-
-    records = [record for record, _, _ in outcomes]
-    n_cache_hits = sum(1 for _, backend, _ in outcomes if backend == "cache")
-    n_dropped = sum(dropped for _, _, dropped in outcomes)
-    n_errors = sum(1 for record in records if record["error"] is not None)
-    n_format = sum(1 for record in records if record["format_failure"])
-
-    lines = [json.dumps(r, sort_keys=True, ensure_ascii=True) for r in records]
-    results_blob = "\n".join(lines) + "\n" if lines else ""
-    results_path = Path(config.output_path)
-    _atomic_write(results_path, results_blob)
 
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -484,14 +502,14 @@ def run(config: RunConfig) -> RunSummary:
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "duration_s": round(time.perf_counter() - t0, 3),
         "counts": {
-            "samples": len(records),
+            "samples": len(jobs),
             "cache_hits": n_cache_hits,
             "format_failures": n_format,
             "dropped_pairs": n_dropped,
             "transport_errors": n_errors,
             "conflict_dropped": split.n_conflict_dropped,
         },
-        "results_sha256": hashlib.sha256(results_blob.encode("utf-8")).hexdigest(),
+        "results_sha256": digest.hexdigest(),
     }
     manifest_path = config.manifest_path()
     _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=1) + "\n")
@@ -499,12 +517,12 @@ def run(config: RunConfig) -> RunSummary:
     logger.info(
         "%s/%s/%s: %d samples, %d cache hits, %d format failures, %d transport errors",
         config.dataset, config.method, config.model_id,
-        len(records), n_cache_hits, n_format, n_errors,
+        len(jobs), n_cache_hits, n_format, n_errors,
     )
     return RunSummary(
         str(results_path),
         str(manifest_path),
-        len(records),
+        len(jobs),
         n_cache_hits,
         n_format,
         n_errors,
@@ -516,9 +534,10 @@ def run(config: RunConfig) -> RunSummary:
 # Scoring
 
 
-def read_results(path: str | Path) -> dict[str, dict]:
-    """Read a results JSONL file into a sample_id -> record map."""
-    records: dict[str, dict] = {}
+def read_results(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """Yield ``(sample_id, record)`` for each record of a results JSONL
+    file, in file order, reading one line at a time."""
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             if not line.strip():
@@ -530,23 +549,28 @@ def read_results(path: str | Path) -> dict[str, dict]:
             sid = record.get("sample_id")
             if not isinstance(sid, str):
                 raise RunDataError(f"{path}:{lineno}: record without sample_id")
-            if sid in records:
+            if sid in seen:
                 raise RunDataError(f"{path}:{lineno}: duplicate sample_id {sid!r}")
-            records[sid] = record
-    return records
+            seen.add(sid)
+            yield sid, record
 
 
 def score_run(results_path: str | Path, split: ds.DatasetSplit):
     """Join results to gold by sample id and compute the micro-F1 report.
 
-    Samples without a record are scored as empty predictions and reported
-    via n_missing_records.
+    Of each record only its ``pairs`` and ``format_failure`` are kept, so
+    the raw model outputs are never all in memory at once. Samples
+    without a record are scored as empty predictions and reported via
+    n_missing_records.
     """
     from .metrics import score
 
-    records = read_results(results_path)
+    predictions = {
+        sid: (record.get("pairs", []), record.get("format_failure"))
+        for sid, record in read_results(results_path)
+    }
     known_ids = {sample.id for sample in split.samples}
-    unknown = sorted(set(records) - known_ids)
+    unknown = sorted(set(predictions) - known_ids)
     if unknown:
         raise RunDataError(
             f"{results_path}: {len(unknown)} record ids not present in the "
@@ -558,16 +582,16 @@ def score_run(results_path: str | Path, split: ds.DatasetSplit):
     n_missing = 0
     n_format = 0
     for sample in split.samples:
-        record = records.get(sample.id)
-        if record is None:
+        prediction = predictions.get(sample.id)
+        if prediction is None:
             n_missing += 1
             pred: frozenset = frozenset()
         else:
+            pairs, format_failure = prediction
             pred = frozenset(
-                ds.Pair(category, ds.Polarity(polarity))
-                for category, polarity in record.get("pairs", [])
+                ds.Pair(category, ds.Polarity(polarity)) for category, polarity in pairs
             )
-            if record.get("format_failure"):
+            if format_failure:
                 n_format += 1
         preds.append(pred)
         golds.append(sample.gold)

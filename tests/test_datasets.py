@@ -12,9 +12,8 @@ from acsa_harness.datasets import (
     Polarity,
     UnknownPolarityValue,
     load_dataset,
-    load_mams,
-    load_semeval_xml,
     load_shoes,
+    load_xml,
     read_inventory,
     verify_official_counts,
 )
@@ -70,7 +69,7 @@ class TestSemeval:
     def test_loads_samples_and_dedups(self, tmp_path):
         path = tmp_path / "rest.xml"
         path.write_text(SEMEVAL_XML, "utf-8")
-        split = load_semeval_xml(path, "Restaurant16")
+        split = load_xml(path, "Restaurant16")
         assert split.name == "Restaurant16"
         assert [s.id for s in split.samples] == ["1:0", "1:1", "1:2"]
         # duplicate FOOD#QUALITY/positive opinions collapse into one pair
@@ -92,33 +91,33 @@ class TestSemeval:
     def test_deterministic(self, tmp_path):
         path = tmp_path / "rest.xml"
         path.write_text(SEMEVAL_XML, "utf-8")
-        assert load_semeval_xml(path, "Restaurant16") == load_semeval_xml(path, "Restaurant16")
+        assert load_xml(path, "Restaurant16") == load_xml(path, "Restaurant16")
 
     def test_malformed_xml(self, tmp_path):
         path = tmp_path / "bad.xml"
         path.write_text("<Reviews><sentence>", "utf-8")
         with pytest.raises(MalformedXml):
-            load_semeval_xml(path, "Restaurant16")
+            load_xml(path, "Restaurant16")
 
     def test_unknown_polarity(self, tmp_path):
         xml = SEMEVAL_XML.replace('polarity="negative"', 'polarity="angry"')
         path = tmp_path / "rest.xml"
         path.write_text(xml, "utf-8")
         with pytest.raises(UnknownPolarityValue):
-            load_semeval_xml(path, "Restaurant16")
+            load_xml(path, "Restaurant16")
 
     def test_conflict_errors_by_default(self, tmp_path):
         xml = SEMEVAL_XML.replace('polarity="negative"', 'polarity="conflict"')
         path = tmp_path / "rest.xml"
         path.write_text(xml, "utf-8")
         with pytest.raises(UnknownPolarityValue):
-            load_semeval_xml(path, "Restaurant16")
+            load_xml(path, "Restaurant16")
 
     def test_conflict_dropped_when_requested(self, tmp_path):
         xml = SEMEVAL_XML.replace('polarity="negative"', 'polarity="conflict"')
         path = tmp_path / "rest.xml"
         path.write_text(xml, "utf-8")
-        split = load_semeval_xml(path, "Restaurant16", drop_conflict=True)
+        split = load_xml(path, "Restaurant16", drop_conflict=True)
         assert split.n_conflict_dropped == 1
         assert split.samples[0].gold == frozenset({Pair("FOOD#QUALITY", Polarity.POSITIVE)})
 
@@ -127,27 +126,27 @@ class TestSemeval:
         path = tmp_path / "rest.xml"
         path.write_text(xml, "utf-8")
         with pytest.raises(MissingCategoryAttribute):
-            load_semeval_xml(path, "Restaurant16")
+            load_xml(path, "Restaurant16")
 
     def test_inventory_override(self, tmp_path):
         path = tmp_path / "rest.xml"
         path.write_text(SEMEVAL_XML, "utf-8")
         inventory = ["SERVICE#GENERAL", "FOOD#QUALITY", "RESTAURANT#PRICES", "AMBIENCE#GENERAL"]
-        split = load_semeval_xml(path, "Restaurant16", inventory=inventory)
+        split = load_xml(path, "Restaurant16", inventory=inventory)
         assert split.categories == tuple(inventory)
 
     def test_gold_outside_inventory_rejected(self, tmp_path):
         path = tmp_path / "rest.xml"
         path.write_text(SEMEVAL_XML, "utf-8")
         with pytest.raises(DatasetError):
-            load_semeval_xml(path, "Restaurant16", inventory=["FOOD#QUALITY"])
+            load_xml(path, "Restaurant16", inventory=["FOOD#QUALITY"])
 
 
 class TestMams:
     def test_loads(self, tmp_path):
         path = tmp_path / "mams.xml"
         path.write_text(MAMS_XML, "utf-8")
-        split = load_mams(path)
+        split = load_xml(path, "MAMS", container="aspectCategories", element="aspectCategory")
         assert split.name == "MAMS"
         assert len(split.samples) == 2
         assert split.samples[0].gold == frozenset(
@@ -155,6 +154,19 @@ class TestMams:
         )
         assert split.categories == ("food", "menu", "place", "staff")
         assert split.samples[0].domain == "restaurant"
+
+
+@pytest.mark.parametrize(
+    "name,tags",
+    [("Restaurant16", ("Opinions", "Opinion")), ("MAMS", ("aspectCategories", "aspectCategory"))],
+)
+def test_xml_read_faults_are_the_same_for_both_layouts(tmp_path, name, tags):
+    with pytest.raises(FileNotFoundError):
+        load_xml(tmp_path / "missing.xml", name, container=tags[0], element=tags[1])
+    path = tmp_path / "bad.xml"
+    path.write_text("<Reviews><sentence>", "utf-8")
+    with pytest.raises(MalformedXml):
+        load_xml(path, name, container=tags[0], element=tags[1])
 
 
 class TestShoes:
@@ -239,7 +251,7 @@ class TestInventoryAndCounts:
     def test_verify_official_counts_mismatch(self, tmp_path):
         path = tmp_path / "rest.xml"
         path.write_text(SEMEVAL_XML, "utf-8")
-        split = load_semeval_xml(path, "Restaurant16")
+        split = load_xml(path, "Restaurant16")
         with pytest.raises(CountMismatch):
             verify_official_counts(split)
 
@@ -255,4 +267,4 @@ class TestInventoryAndCounts:
         path = tmp_path / "rest.xml"
         path.write_text(xml, "utf-8")
         with pytest.raises(DatasetError):
-            load_semeval_xml(path, "Restaurant16")
+            load_xml(path, "Restaurant16")

@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from acsa_harness import cli, runner
-from acsa_harness.datasets import load_semeval_xml
+from acsa_harness.datasets import load_xml
 from acsa_harness.llm import (
     AuthError,
     CacheCorrupt,
@@ -16,6 +17,7 @@ from acsa_harness.llm import (
     GreedyViolation,
     HttpBackend,
     ReplayBackend,
+    WarmSummary,
     write_cache_file,
 )
 from acsa_harness.prompts import render_categories
@@ -108,7 +110,7 @@ def make_config(tmp_path, method="baseline", **overrides) -> RunConfig:
 def write_fixtures(config: RunConfig, canned=CANNED, skip=(), directory=None):
     """Write each sample's canned output in the cache format, into the
     fixture dir or ``directory``."""
-    split = load_semeval_xml(config.dataset_path, config.dataset)
+    split = load_xml(config.dataset_path, config.dataset)
     for job in prepare_jobs(config, split):
         if job.sample_id in skip:
             continue
@@ -183,6 +185,19 @@ def record_chat_threads(monkeypatch) -> list[tuple[str, int]]:
     return answered
 
 
+def record_thread_starts(monkeypatch) -> list[str]:
+    """Names of the threads started from here on."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
 def http_config(tmp_path, name: str, **overrides) -> RunConfig:
     settings = {
         "backend": "http",
@@ -194,8 +209,15 @@ def http_config(tmp_path, name: str, **overrides) -> RunConfig:
     return make_config(tmp_path, **settings)
 
 
+def assert_nothing_written(config: RunConfig) -> None:
+    """No results file, manifest or leftover temp file beside them."""
+    out = Path(config.output_path)
+    assert sorted(out.parent.glob(f"{out.name}*")) == []
+    assert not config.manifest_path().exists()
+
+
 def canned_by_text(config: RunConfig) -> dict[str, str]:
-    split = load_semeval_xml(config.dataset_path, config.dataset)
+    split = load_xml(config.dataset_path, config.dataset)
     return {sample.text: CANNED[sample.id] for sample in split.samples}
 
 
@@ -351,6 +373,32 @@ class TestRun:
         assert second_summary.n_cache_hits == 4
 
 
+class TestRunMemory:
+    def test_run_memory_does_not_grow_with_answers(self, tmp_path):
+        # 300 answers of about 20 KB each: a run that kept its records, their
+        # JSON lines or the whole results text until the end would trace a
+        # peak of several times their total size; one that streams them holds
+        # about one answer at a time
+        (tmp_path / "rest_test.xml").write_text(many_sentences_xml(300), "utf-8")
+        config = make_config(tmp_path)
+        answers = 0
+        for job in prepare_jobs(config, _load_split(config)):
+            text = f"Step 1 for {job.sample_id}: " + "the food was good. " * 1100
+            text += "\n[('food quality', 'positive')]"
+            answers += len(text)
+            write_cache_file(Path(config.fixture_dir) / f"{job.request.cache_key}.json",
+                             job.request, text)
+        tracemalloc.start()
+        try:
+            summary = run(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.n_samples == 300 and summary.n_format_failures == 0
+        assert answers > 300 * 20_000
+        assert peak < answers / 4
+
+
 class TestWhereWorkRuns:
     """Only calls to the HTTP backend go to the worker pool."""
 
@@ -368,20 +416,47 @@ class TestWhereWorkRuns:
             threads.append(threading.get_ident())
             return process_job(*args)
 
-        started = []
-        start = threading.Thread.start
-
-        def recording_start(self):
-            started.append(self.name)
-            start(self)
-
         monkeypatch.setattr(ReplayBackend, "complete", recording_complete)
         monkeypatch.setattr(runner, "_process_job", recording_process_job)
-        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        started = record_thread_starts(monkeypatch)
         summary = run(config)
         assert summary.n_samples == 4
         assert threads == [threading.get_ident()] * 8
         assert started == []
+
+    def test_replay_warm_cache_stays_on_calling_thread(self, tmp_path, monkeypatch):
+        config = make_config(tmp_path, concurrency=4, cache_dir=str(tmp_path / "cache"))
+        write_fixtures(config)
+        threads = []
+        complete = ReplayBackend.complete
+
+        def recording_complete(self, request):
+            threads.append(threading.get_ident())
+            return complete(self, request)
+
+        monkeypatch.setattr(ReplayBackend, "complete", recording_complete)
+        started = record_thread_starts(monkeypatch)
+        client = ChatClient(
+            runner.make_backend(config), cache_dir=config.cache_dir, max_concurrency=4
+        )
+        requests = [job.request for job in prepare_jobs(config, _load_split(config))]
+        assert client.warm_cache(requests) == WarmSummary(0, 4, 4)
+        assert threads == [threading.get_ident()] * 4
+        assert started == []
+
+    def test_http_warm_cache_sends_misses_to_pool(self, tmp_path):
+        config = http_config(tmp_path, "warm", concurrency=4)
+        write_fixtures(config, skip={"t:1", "t:3"}, directory=config.cache_dir)
+        session = FakeChatSession(canned_by_text(config))
+        client = ChatClient(
+            HttpBackend(config.base_url, session=session),
+            cache_dir=config.cache_dir,
+            max_concurrency=4,
+        )
+        requests = [job.request for job in prepare_jobs(config, _load_split(config))]
+        assert client.warm_cache(requests) == WarmSummary(2, 2, 2)
+        assert len(session.post_threads) == 2
+        assert threading.get_ident() not in session.post_threads
 
     def test_http_run_sends_only_misses_to_pool(self, tmp_path, monkeypatch):
         config = http_config(tmp_path, "half-warm", concurrency=4)
@@ -398,7 +473,7 @@ class TestWhereWorkRuns:
             [("cache", main), ("cache", main), ("http", session.post_threads[0]),
              ("http", session.post_threads[1])]
         )
-        records = runner.read_results(config.output_path)
+        records = dict(runner.read_results(config.output_path))
         assert records["t:0"]["pairs"] == [["FOOD#QUALITY", "positive"]]
         assert records["t:1"]["pairs"] == [["SERVICE#GENERAL", "negative"]]
 
@@ -437,6 +512,7 @@ class TestRunFatalFaults:
         with pytest.raises(AuthError):
             run(config)
         assert fail_from <= len(session.post_threads) <= fail_from + concurrency
+        assert_nothing_written(config)
 
     def test_calling_thread_fault_cancels_queued_calls(self, tmp_path, monkeypatch):
         # sample 0 is cached but corrupt and read on the calling thread; the
@@ -463,13 +539,38 @@ class TestRunFatalFaults:
             run(config)
         assert len(session.post_threads) <= config.concurrency
 
+    def test_corrupt_replay_entry_mid_run_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        # the first 20 records are written to the temp file before sample 20's
+        # corrupt fixture is read on the calling thread
+        (tmp_path / "rest_test.xml").write_text(many_sentences_xml(40), "utf-8")
+        config = make_config(tmp_path)
+        jobs = prepare_jobs(config, _load_split(config))
+        for job in jobs:
+            write_cache_file(Path(config.fixture_dir) / f"{job.request.cache_key}.json",
+                             job.request, "[]")
+        (Path(config.fixture_dir) / f"{jobs[20].request.cache_key}.json").write_text(
+            "{}", "utf-8"
+        )
+        written = []
+        process_job = runner._process_job
+
+        def recording_process_job(*args):
+            written.append(args[0].index)
+            return process_job(*args)
+
+        monkeypatch.setattr(runner, "_process_job", recording_process_job)
+        with pytest.raises(CacheCorrupt):
+            run(config)
+        assert written == list(range(20))
+        assert_nothing_written(config)
+
 
 class TestScoreRun:
     def test_scores_against_gold(self, tmp_path):
         config = make_config(tmp_path)
         write_fixtures(config)
         run(config)
-        split = load_semeval_xml(config.dataset_path, "Restaurant16")
+        split = load_xml(config.dataset_path, "Restaurant16")
         report = score_run(config.output_path, split)
         # t:0 tp=1; t:1 tp=1; t:2 fn=2 (format failure); t:3 clean empty
         assert (report.tp, report.fp, report.fn) == (2, 0, 2)
@@ -482,7 +583,7 @@ class TestScoreRun:
         run(config)
         lines = Path(config.output_path).read_text("utf-8").splitlines()
         Path(config.output_path).write_text("\n".join(lines[:2]) + "\n", "utf-8")
-        split = load_semeval_xml(config.dataset_path, "Restaurant16")
+        split = load_xml(config.dataset_path, "Restaurant16")
         report = score_run(config.output_path, split)
         assert report.n_missing_records == 2
         assert (report.tp, report.fp, report.fn) == (2, 0, 2)
@@ -493,8 +594,26 @@ class TestScoreRun:
         run(config)
         with open(config.output_path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps({"sample_id": "bogus", "pairs": []}) + "\n")
-        split = load_semeval_xml(config.dataset_path, "Restaurant16")
+        split = load_xml(config.dataset_path, "Restaurant16")
         with pytest.raises(RunDataError):
+            score_run(config.output_path, split)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("{not json", "invalid JSON"),
+            ('{"pairs": []}', "record without sample_id"),
+            ('{"sample_id": "t:0", "pairs": []}', "duplicate sample_id 't:0'"),
+        ],
+    )
+    def test_unreadable_records_rejected(self, tmp_path, line, message):
+        config = make_config(tmp_path)
+        write_fixtures(config)
+        run(config)
+        with open(config.output_path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        split = load_xml(config.dataset_path, "Restaurant16")
+        with pytest.raises(RunDataError, match=f":5: {message}"):
             score_run(config.output_path, split)
 
 
