@@ -5,6 +5,12 @@ open-weight servers and proxied proprietary endpoints. Responses are
 cached in an append-only directory of one JSON file per request hash,
 written atomically; the replay backend reads fixture files in exactly
 the cache format, which makes whole runs bit-deterministic offline.
+
+``ChatClient.answers`` is the fetch phase of both ``acsa run`` and
+``acsa warm-cache``. Only HTTP requests run on a thread pool, where
+their network waits overlap. Answers read from local disk (cache hits,
+replay fixtures) are read on the calling thread: that work is pure CPU,
+which threads would only contend for under the interpreter lock.
 """
 
 from __future__ import annotations
@@ -14,10 +20,12 @@ import json
 import os
 import threading
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, TextIO
 
 if TYPE_CHECKING:
     import requests
@@ -55,15 +63,17 @@ class GreedyViolation(LlmError):
     """A non-greedy request was rejected before dispatch (strict mode)."""
 
 
+# Faults that concern one request: ``ChatClient.answers`` yields them in
+# place of its answer, and the run goes on. Any other exception from
+# ``ChatClient.chat`` ends the run.
+SAMPLE_FAULTS = (TransportError, RateLimited, BackendRefused, MissingFixture)
+
+
 @dataclass(frozen=True)
 class DecodeParams:
     temperature: float = 0.0
     top_p: float = 1.0
     max_output_tokens: int = 4096
-
-    @classmethod
-    def greedy(cls, max_output_tokens: int = 4096) -> "DecodeParams":
-        return cls(0.0, 1.0, max_output_tokens)
 
     @property
     def is_greedy(self) -> bool:
@@ -113,7 +123,6 @@ class ChatResponse:
     text: str
     backend: str  # "http" | "replay" | "cache"
     latency_ms: float
-    request_hash: str
 
 
 @dataclass(frozen=True)
@@ -143,14 +152,26 @@ def cache_payload(request: ChatRequest, text: str) -> dict:
     }
 
 
-def write_cache_file(path: Path, request: ChatRequest, text: str) -> None:
-    """Atomically persist one request/response pair in the cache format."""
+@contextmanager
+def atomic_file(path: Path) -> Iterator[TextIO]:
+    """A text handle on a temp file beside ``path`` that replaces ``path``
+    when the block ends cleanly; on an exception the temp file is removed
+    and ``path`` is left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
-    tmp.write_text(
-        json.dumps(cache_payload(request, text), sort_keys=True, indent=1), "utf-8"
-    )
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_cache_file(path: Path, request: ChatRequest, text: str) -> None:
+    """Atomically persist one request/response pair in the cache format."""
+    with atomic_file(path) as handle:
+        handle.write(json.dumps(cache_payload(request, text), sort_keys=True, indent=1))
 
 
 def read_cache_file(path: Path, expected_hash: str) -> str:
@@ -323,7 +344,7 @@ class ChatClient:
         key = request.cache_key
         cached = self._cache_lookup(key)
         if cached is not None:
-            return ChatResponse(cached, "cache", 0.0, key)
+            return ChatResponse(cached, "cache", 0.0)
         with self._guard:
             inflight = self._inflight.setdefault(key, [threading.Lock(), 0])
             inflight[1] += 1
@@ -331,14 +352,14 @@ class ChatClient:
             with inflight[0]:
                 cached = self._cache_lookup(key)
                 if cached is not None:
-                    return ChatResponse(cached, "cache", 0.0, key)
+                    return ChatResponse(cached, "cache", 0.0)
                 start = time.perf_counter()
                 text = self.backend.complete(request)
                 latency_ms = (time.perf_counter() - start) * 1000.0
                 path = self._cache_path(key)
                 if path is not None:
                     write_cache_file(path, request, text)
-                return ChatResponse(text, self.backend.name, latency_ms, key)
+                return ChatResponse(text, self.backend.name, latency_ms)
         finally:
             # the last call out drops the entry; a waiter keeps the same lock
             with self._guard:
@@ -346,31 +367,69 @@ class ChatClient:
                 if not inflight[1]:
                     del self._inflight[key]
 
-    def warm_cache(self, requests_in: Iterable[ChatRequest]) -> WarmSummary:
-        """Fetch every miss; idempotent.
+    def _answer(self, request: ChatRequest, halt: threading.Event | None = None):
+        """``chat(request)``, or the per-request fault it raised.
 
-        Like ``runner.run``, only an HTTP backend's misses go to a pool of
-        ``max_concurrency`` threads, where they overlap network waits; any
-        other backend answers from local files, so its misses are fetched
-        on the calling thread.
+        Only pool workers pass ``halt``. A run-fatal fault there sets it
+        before it propagates, and a call dequeued after that returns None
+        without sending anything. That None is never read: answers are read
+        in request order and raise at the failed call, which was queued first.
+        """
+        if halt is not None and halt.is_set():
+            return None
+        try:
+            return self.chat(request)
+        except SAMPLE_FAULTS as err:
+            return err
+        except BaseException:
+            if halt is not None:
+                halt.set()
+            raise
+
+    def answers(self, requests: Iterable[ChatRequest]) -> Iterator[ChatResponse | LlmError]:
+        """Yield one answer per request, in request order: its ChatResponse,
+        or the SAMPLE_FAULTS error it raised.
+
+        An HTTP backend's cache misses are all submitted up front to a pool
+        of ``max_concurrency`` threads; every other request is answered on
+        the calling thread when its turn comes. A run-fatal fault, or
+        closing the generator, cancels the calls still queued.
+        """
+        requests = list(requests)
+        over_network = self.backend.name == "http"
+        halt = threading.Event()
+        # a pool starts its threads on submit, so a call with no network miss starts none
+        with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
+            try:
+                futures = [
+                    pool.submit(self._answer, request, halt)
+                    if over_network and not self.is_cached(request)
+                    else None
+                    for request in requests
+                ]
+                for i, request in enumerate(requests):
+                    future, futures[i] = futures[i], None  # drop each answer once read
+                    yield self._answer(request) if future is None else future.result()
+            except BaseException:
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
+
+    def warm_cache(self, requests_in: Iterable[ChatRequest]) -> WarmSummary:
+        """Fetch every miss through ``answers``; idempotent.
+
+        Per-request faults are listed in the summary; a run-fatal fault
+        cancels the queued calls and propagates, as in ``runner.run``.
         """
         unique: dict[str, ChatRequest] = {}
         for request in requests_in:
             unique.setdefault(request.cache_key, request)
-        hits = {k for k in unique if self._cache_lookup(k) is not None}
-        misses = [request for k, request in unique.items() if k not in hits]
-
-        def fetch(request: ChatRequest) -> tuple[str, str] | None:
-            try:
-                self.chat(request)
-            except LlmError as err:
-                return request.cache_key, f"{type(err).__name__}: {err}"
-            return None
-
-        if self.backend.name == "http":
-            with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
-                outcomes = list(pool.map(fetch, misses))
-        else:
-            outcomes = [fetch(request) for request in misses]
-        failures = tuple(outcome for outcome in outcomes if outcome is not None)
-        return WarmSummary(len(hits), len(misses), len(misses) - len(failures), failures)
+        hits = 0
+        failures = []
+        with closing(self.answers(unique.values())) as answers:
+            for key, answer in zip(unique, answers):
+                if isinstance(answer, LlmError):
+                    failures.append((key, f"{type(answer).__name__}: {answer}"))
+                else:
+                    hits += answer.backend == "cache"
+        misses = len(unique) - hits
+        return WarmSummary(hits, misses, misses - len(failures), tuple(failures))

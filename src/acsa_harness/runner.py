@@ -10,12 +10,8 @@ Each record is written to the results file as soon as it is built, so a
 run holds no more than one model answer at a time outside the HTTP calls
 still in flight, however many samples the split has.
 
-Only requests that go out to the HTTP backend run on a thread pool of
-``concurrency`` workers, where they overlap their network waits. Every
-answer read from local disk (a cache hit or a replay fixture), and all
-extraction, mapping and record building, runs on the calling thread in
-sample order: that work is pure CPU, which threads would only contend
-for under the interpreter lock.
+Answers come from ``ChatClient.answers`` in sample order; extraction,
+mapping and record building all run on the calling thread.
 """
 
 from __future__ import annotations
@@ -24,11 +20,9 @@ import hashlib
 import json
 import logging
 import os
-import threading
 import time
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -36,17 +30,14 @@ from pathlib import Path
 from . import datasets as ds
 from . import postprocess as pp
 from .llm import (
-    BackendRefused,
     ChatClient,
     ChatRequest,
     ChatResponse,
     DecodeParams,
     HttpBackend,
     LlmError,
-    MissingFixture,
-    RateLimited,
     ReplayBackend,
-    TransportError,
+    atomic_file,
 )
 from .prompts import build_baseline_prompt, build_umr_prompt, template_version
 from .umr import (
@@ -115,16 +106,27 @@ class RunConfig:
         return config
 
     def update(self, mapping: dict) -> None:
-        known = set(self.field_names())
+        """Set each key's value, checked against its field's type. A bool
+        is not an int. An int is accepted for a float field and kept as
+        given: as a float it would change the request hash of a config that
+        says ``temperature = 0``."""
+        types = {f.name: type(f.default) for f in fields(self)}
         for key, value in mapping.items():
-            if key not in known:
+            if key not in types:
                 raise ConfigError(f"unknown config key {key!r}")
+            expected = types[key]
             if key == "exemplar_paths":
                 if not isinstance(value, (list, tuple)) or not all(
                     isinstance(v, str) for v in value
                 ):
                     raise ConfigError("exemplar_paths must be an array of strings")
                 value = tuple(value)
+            elif isinstance(value, bool) != (expected is bool) or not isinstance(
+                value, (int, float) if expected is float else expected
+            ):
+                raise ConfigError(
+                    f"{key} must be {expected.__name__}, got {type(value).__name__} {value!r}"
+                )
             setattr(self, key, value)
 
     def validate(self) -> None:
@@ -185,6 +187,8 @@ def parse_flat_config(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: missing key")
+        if key in result:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         result[key] = _parse_config_value(rest.strip(), lineno)
     return result
 
@@ -354,31 +358,6 @@ def _outcome_to_json(outcome: pp.MappingOutcome) -> dict:
     }
 
 
-# Faults that concern one sample: recorded in its record, and the run goes
-# on. Any other exception from ``ChatClient.chat`` ends the run.
-SAMPLE_FAULTS = (TransportError, RateLimited, BackendRefused, MissingFixture)
-
-
-def _fetch(client: ChatClient, request: ChatRequest, halt: threading.Event | None = None):
-    """``client.chat(request)``, or the per-sample fault it raised.
-
-    Pool workers pass ``halt``. A run-fatal fault there sets it before
-    it propagates, and a call dequeued after that returns None without
-    sending anything. That None is never read: the run reads answers in
-    sample order and raises at the failed call, which was queued first.
-    """
-    if halt is not None and halt.is_set():
-        return None
-    try:
-        return client.chat(request)
-    except SAMPLE_FAULTS as err:
-        return err
-    except BaseException:
-        if halt is not None:
-            halt.set()
-        raise
-
-
 def _process_job(
     job: _Job,
     answer: ChatResponse | LlmError,
@@ -415,31 +394,15 @@ def _process_job(
     return record, answer.backend, dropped
 
 
-@contextmanager
-def _atomic_file(path: Path):
-    """A text handle on a temp file beside ``path`` that replaces ``path``
-    when the block ends cleanly; on an exception the temp file is removed
-    and ``path`` is left as it was."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _atomic_write(path: Path, data: str) -> None:
-    with _atomic_file(path) as handle:
+    with atomic_file(path) as handle:
         handle.write(data)
 
 
 def run(config: RunConfig) -> RunSummary:
     """Execute one (dataset, method, model) run end to end.
 
-    Per-sample faults (SAMPLE_FAULTS) are recorded, not fatal; the
+    Per-sample faults (``llm.SAMPLE_FAULTS``) are recorded, not fatal; the
     caller decides what to do when their rate exceeds
     TRANSPORT_FAILURE_LIMIT. Any other fault, such as AuthError,
     GreedyViolation or CacheCorrupt, cancels the HTTP calls still queued
@@ -460,36 +423,21 @@ def run(config: RunConfig) -> RunSummary:
         strict_greedy=config.strict_greedy,
         max_concurrency=config.concurrency,
     )
-    over_network = config.backend == "http"
-    halt = threading.Event()
     results_path = Path(config.output_path)
     digest = hashlib.sha256()
     n_cache_hits = n_dropped = n_errors = n_format = 0
-    # a pool starts its threads on submit, so a run with no network call starts none
-    with _atomic_file(results_path) as out, ThreadPoolExecutor(
-        max_workers=config.concurrency
-    ) as pool:
-        try:
-            futures = [
-                pool.submit(_fetch, client, job.request, halt)
-                if over_network and not client.is_cached(job.request)
-                else None
-                for job in jobs
-            ]
-            for i, job in enumerate(jobs):
-                future, futures[i] = futures[i], None  # drop each answer once written
-                answer = _fetch(client, job.request) if future is None else future.result()
-                record, backend, dropped = _process_job(job, answer, inventory, config.cutoff)
-                line = json.dumps(record, sort_keys=True, ensure_ascii=True) + "\n"
-                out.write(line)
-                digest.update(line.encode("ascii"))
-                n_cache_hits += backend == "cache"
-                n_dropped += dropped
-                n_errors += record["error"] is not None
-                n_format += record["format_failure"]
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
+    with atomic_file(results_path) as out, closing(
+        client.answers(job.request for job in jobs)
+    ) as answers:
+        for job, answer in zip(jobs, answers):
+            record, backend, dropped = _process_job(job, answer, inventory, config.cutoff)
+            line = json.dumps(record, sort_keys=True, ensure_ascii=True) + "\n"
+            out.write(line)
+            digest.update(line.encode("ascii"))
+            n_cache_hits += backend == "cache"
+            n_dropped += dropped
+            n_errors += record["error"] is not None
+            n_format += record["format_failure"]
 
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,

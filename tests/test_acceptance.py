@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Each criterion enforces its stated tolerance and time budget.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -398,6 +399,20 @@ def _e2e_config(meta, dataset, method, out_dir: Path) -> RunConfig:
     )
 
 
+# results_sha256 of each committed replay grid cell; the benchmark pins
+# the same eight values
+GRID_DIGESTS = {
+    ("Laptop16", "baseline"): "b35aa677fbcfdef0a21f360cef6965c5fe02f1bd37dc3f03fd39c5acce662493",
+    ("Laptop16", "umr"): "61771eadb06e5201c3f9179b7e138cb51eb2bcff886dd70c12f86feccb07a27f",
+    ("MAMS", "baseline"): "629f6c6a07a44e599f120c22130d98897ff20eda50aa7de277631f09d044e72f",
+    ("MAMS", "umr"): "10e16887266fb307f39b4794960b075b11c086079c70880b767122b270a9f644",
+    ("Restaurant16", "baseline"): "3b23fc2ef76adbf55e7fd474ff61c765521df314b9400432b1c343a8dfd7facc",
+    ("Restaurant16", "umr"): "deee417bc8f8ca46172e47a86f80ee42eadfbaf06c034c3189a2e8a9947da168",
+    ("Shoes", "baseline"): "c3a34c8cc7837524d0bdd34aca42b30db0ee7110e52c78cd7abfbf88e989f492",
+    ("Shoes", "umr"): "d67d59f3419bbccd1238490d01b64361f80d6587cac3e82ae97d76380496e60f",
+}
+
+
 def test_acceptance_8_end_to_end_replay(tmp_path):
     budget = _Budget(30.0)
     meta = json.loads((E2E / "meta.json").read_text("utf-8"))
@@ -431,6 +446,11 @@ def test_acceptance_8_end_to_end_replay(tmp_path):
                 else:
                     assert summary.n_format_failures == 0
                     assert summary.n_dropped_pairs == 1  # the unmappable junk pair
+                pin = GRID_DIGESTS[(dataset, method)]
+                manifest = json.loads(Path(summary.manifest_path).read_text("utf-8"))
+                assert manifest["results_sha256"] == pin, f"{dataset}/{method} manifest digest"
+                on_disk = hashlib.sha256(Path(config.output_path).read_bytes()).hexdigest()
+                assert on_disk == pin, f"{dataset}/{method} results file digest"
                 split = load_dataset(dataset, config.dataset_path)
                 report = score_run(config.output_path, split)
                 assert (report.tp, report.fp, report.fn) == expected_counts[(dataset, method)]

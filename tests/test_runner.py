@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from acsa_harness import cli, runner
+from acsa_harness import cli, llm, runner
 from acsa_harness.datasets import load_xml
 from acsa_harness.llm import (
     AuthError,
@@ -255,6 +255,38 @@ class TestFlatConfig:
             parse_flat_config('x = "unterminated')
         with pytest.raises(ConfigError):
             parse_flat_config("x = [1, 2]")
+
+    @pytest.mark.parametrize(
+        "text", ['seed = 3\nseed = 4\n', 'dataset = "MAMS"\ndataset = "MAMS"\n']
+    )
+    def test_rejects_duplicate_key(self, text):
+        with pytest.raises(ConfigError, match="line 2: duplicate key"):
+            parse_flat_config(text)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            'seed = "7"',
+            'concurrency = "4"',
+            "seed = true",
+            "concurrency = 2.0",
+            "strict_greedy = 1",
+            'cutoff = "0.6"',
+            "cutoff = false",
+            "dataset = 3",
+            'exemplar_paths = "a.umr"',
+        ],
+    )
+    def test_rejects_mistyped_value(self, tmp_path, line):
+        path = tmp_path / "run.toml"
+        path.write_text(line + "\n", "utf-8")
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert cli.main(["run", "--config", str(path)]) == 1
+
+    def test_accepts_int_for_float(self):
+        config = RunConfig.from_mapping({"cutoff": 1, "temperature": 0})
+        assert (config.cutoff, config.temperature) == (1, 0)
 
     def test_load_config_with_overrides(self, tmp_path):
         path = tmp_path / "run.toml"
@@ -526,18 +558,60 @@ class TestRunFatalFaults:
         corrupt.write_text("{}", "utf-8")
         released = threading.Event()
 
-        class HeldPool(runner.ThreadPoolExecutor):
+        class HeldPool(llm.ThreadPoolExecutor):
             def shutdown(self, wait=True, *, cancel_futures=False):
                 super().shutdown(wait=False, cancel_futures=cancel_futures)
                 released.set()
                 super().shutdown(wait=wait)
 
-        monkeypatch.setattr(runner, "ThreadPoolExecutor", HeldPool)
+        monkeypatch.setattr(llm, "ThreadPoolExecutor", HeldPool)
         session = FakeChatSession({"Sentence": "[]"}, hold=released)
         use_session(monkeypatch, session)
         with pytest.raises(CacheCorrupt):
             run(config)
         assert len(session.post_threads) <= config.concurrency
+
+    def test_cached_answers_are_read_after_a_pool_fault(self, tmp_path, monkeypatch):
+        # samples 0-149 are cached and answered on the calling thread, while
+        # the pool's posts for samples 150 on are refused at once: every
+        # cached answer is still read, and the run stops at sample 150
+        (tmp_path / "rest_test.xml").write_text(many_sentences_xml(200), "utf-8")
+        config = http_config(tmp_path, "late-auth", concurrency=2)
+        for job in prepare_jobs(config, _load_split(config))[:150]:
+            write_cache_file(Path(config.cache_dir) / f"{job.request.cache_key}.json",
+                             job.request, "[]")
+        session = FakeChatSession({"Sentence": "[]"}, fail_from=1)
+        use_session(monkeypatch, session)
+        with pytest.raises(AuthError):
+            run(config)
+        assert 1 <= len(session.post_threads) <= 1 + config.concurrency
+        assert_nothing_written(config)
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_warm_cache_auth_error_stops_queued_calls(
+        self, tmp_path, monkeypatch, capsys, concurrency
+    ):
+        (tmp_path / "rest_test.xml").write_text(many_sentences_xml(40), "utf-8")
+        config = http_config(tmp_path, "warm-auth", concurrency=concurrency)
+        session = FakeChatSession({"Sentence": "[]"}, fail_from=1)
+        use_session(monkeypatch, session)
+        code = cli.main(
+            [
+                "warm-cache",
+                "--dataset", config.dataset,
+                "--dataset-path", config.dataset_path,
+                "--method", "baseline",
+                "--model", config.model_id,
+                "--backend", "http",
+                "--base-url", config.base_url,
+                "--concurrency", str(concurrency),
+                "--cache-dir", config.cache_dir,
+                "--output", config.output_path,
+            ]
+        )
+        assert code == 1
+        assert "HTTP 401" in capsys.readouterr().err  # the AuthError that ended it
+        assert 1 <= len(session.post_threads) <= 1 + concurrency
 
     def test_corrupt_replay_entry_mid_run_leaves_no_temp_file(self, tmp_path, monkeypatch):
         # the first 20 records are written to the temp file before sample 20's
