@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 from xml.etree import ElementTree as ET
 
 logger = logging.getLogger(__name__)
@@ -66,7 +66,7 @@ class Polarity(str, Enum):
     NEGATIVE = "negative"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Pair:
     """One (canonical category, polarity) prediction or gold annotation."""
 
@@ -77,7 +77,7 @@ class Pair:
 PairSet = frozenset  # of Pair; deduplication on exact equality is inherent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     id: str
     text: str
@@ -183,38 +183,82 @@ def load_xml(
     ``aspectCategory``. Sentences without opinions are retained with an
     empty gold set; duplicate (category, polarity) opinions collapse. A
     file that cannot be read raises its OSError unchanged.
+
+    The file is parsed as a stream (``_sentences``), so the parse holds
+    little more than the split it returns. Equal pairs and equal gold
+    sets are one shared object each.
     """
-    try:
-        tree = ET.parse(path)
-    except ET.ParseError as err:
-        raise MalformedXml(f"{path}: {err}") from err
     domain = DOMAIN_BY_DATASET.get(name, name.lower())
     samples: list[Sample] = []
+    pair_of: dict[tuple[str, Polarity], Pair] = {}
+    gold_of: dict[frozenset[Pair], frozenset[Pair]] = {}
     dropped = 0
-    for i, sentence in enumerate(tree.getroot().iter("sentence")):
-        sid = sentence.get("id") or f"s{i + 1}"
-        text_el = sentence.find("text")
-        text = (text_el.text or "") if text_el is not None else ""
-        if not text.strip():
-            raise MalformedXml(f"sentence {sid!r} has no text element or empty text")
-        pairs = set()
-        opinions = sentence.find(container)
-        if opinions is not None:
-            for opinion in opinions.findall(element):
-                category = opinion.get("category")
-                if not category:
-                    raise MissingCategoryAttribute(
-                        f"sentence {sid!r}: {element} element without category attribute"
-                    )
-                polarity = _resolve_polarity(
-                    opinion.get("polarity"), f"sentence {sid!r}", drop_conflict
-                )
-                if polarity is None:
-                    dropped += 1
-                    continue
-                pairs.add(Pair(category, polarity))
-        samples.append(Sample(sid, text.strip(), frozenset(pairs), domain))
+    try:
+        with open(path, "rb") as handle:
+            for i, sentence in enumerate(_sentences(handle)):
+                sid = sentence.get("id") or f"s{i + 1}"
+                text_el = sentence.find("text")
+                text = (text_el.text or "") if text_el is not None else ""
+                if not text.strip():
+                    raise MalformedXml(f"sentence {sid!r} has no text element or empty text")
+                pairs = set()
+                opinions = sentence.find(container)
+                if opinions is not None:
+                    for opinion in opinions.findall(element):
+                        category = opinion.get("category")
+                        if not category:
+                            raise MissingCategoryAttribute(
+                                f"sentence {sid!r}: {element} element without category attribute"
+                            )
+                        polarity = _resolve_polarity(
+                            opinion.get("polarity"), f"sentence {sid!r}", drop_conflict
+                        )
+                        if polarity is None:
+                            dropped += 1
+                            continue
+                        pair = pair_of.get((category, polarity))
+                        if pair is None:
+                            pair = pair_of[category, polarity] = Pair(category, polarity)
+                        pairs.add(pair)
+                gold = frozenset(pairs)
+                samples.append(Sample(sid, text.strip(), gold_of.setdefault(gold, gold), domain))
+    except ET.ParseError as err:
+        raise MalformedXml(f"{path}: {err}") from err
     return _finish_split(name, split, samples, inventory, dropped)
+
+
+_XML_CHUNK = 16 * 1024  # bytes per read, as ET.iterparse reads
+
+
+def _sentences(handle) -> Iterator[ET.Element]:
+    """Yield each <sentence> element of an XML stream when it ends, in
+    document order. Once the caller is done with it, the sentence is
+    dropped from its parent, and so is every element that ends outside a
+    sentence, so the parsed tree never grows with the file."""
+    # a pull parser fed by hand: ET.iterparse does the same, but builds a
+    # class on every call, which costs more than parsing a small split
+    parser = ET.XMLPullParser(events=("start", "end"))
+    open_elements: list[ET.Element] = []  # the path from the root
+    in_sentence = 0  # open <sentence> elements, whose children are still needed
+    while True:
+        chunk = handle.read(_XML_CHUNK)
+        if chunk:
+            parser.feed(chunk)
+        else:
+            parser.close()
+        for event, node in parser.read_events():
+            if event == "start":
+                open_elements.append(node)
+                in_sentence += node.tag == "sentence"
+                continue
+            open_elements.pop()
+            if node.tag == "sentence":
+                in_sentence -= 1
+                yield node
+            if not in_sentence and open_elements:
+                open_elements[-1].remove(node)
+        if not chunk:
+            return
 
 
 def load_shoes(

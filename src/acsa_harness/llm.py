@@ -9,8 +9,9 @@ the cache format, which makes whole runs bit-deterministic offline.
 ``ChatClient.answers`` is the fetch phase of both ``acsa run`` and
 ``acsa warm-cache``. Only HTTP requests run on a thread pool, where
 their network waits overlap. Answers read from local disk (cache hits,
-replay fixtures) are read on the calling thread: that work is pure CPU,
-which threads would only contend for under the interpreter lock.
+replay fixtures) are read on the calling thread, one request at a time:
+that work is pure CPU, which threads would only contend for under the
+interpreter lock.
 """
 
 from __future__ import annotations
@@ -390,20 +391,25 @@ class ChatClient:
         """Yield one answer per request, in request order: its ChatResponse,
         or the SAMPLE_FAULTS error it raised.
 
-        An HTTP backend's cache misses are all submitted up front to a pool
-        of ``max_concurrency`` threads; every other request is answered on
-        the calling thread when its turn comes. A run-fatal fault, or
-        closing the generator, cancels the calls still queued.
+        Any backend but HTTP reads the requests one at a time and answers
+        each on the calling thread. An HTTP backend reads them all first and
+        submits every cache miss up front to a pool of ``max_concurrency``
+        threads; the cache hits are answered on the calling thread when
+        their turn comes. A run-fatal fault, or closing the generator,
+        cancels the calls still queued.
         """
+        if self.backend.name != "http":
+            for request in requests:
+                yield self._answer(request)
+            return
         requests = list(requests)
-        over_network = self.backend.name == "http"
         halt = threading.Event()
         # a pool starts its threads on submit, so a call with no network miss starts none
         with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
             try:
                 futures = [
                     pool.submit(self._answer, request, halt)
-                    if over_network and not self.is_cached(request)
+                    if not self.is_cached(request)
                     else None
                     for request in requests
                 ]

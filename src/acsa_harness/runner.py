@@ -6,9 +6,14 @@ through the cached chat client, post-processes the outputs, and writes
 one JSONL record per sample plus a manifest. With the replay backend the
 whole pipeline is bit-deterministic across runs and machines.
 
-Each record is written to the results file as soon as it is built, so a
-run holds no more than one model answer at a time outside the HTTP calls
-still in flight, however many samples the split has.
+A run's memory does not grow with the answers, and apart from the
+split itself not with the number of samples either. The dataset file is
+parsed as a stream that keeps only the samples. Each request is built
+when its answer is asked for, and each record is written to the results
+file as soon as it is built. The exception is an HTTP run: it builds
+every request before the first answer, to submit the cache misses to
+the pool (see ``ChatClient.answers``). Scoring reads the results file
+one line at a time and keeps one pair set per record.
 
 Answers come from ``ChatClient.answers`` in sample order; extraction,
 mapping and record building all run on the calling thread.
@@ -25,6 +30,7 @@ from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
+from itertools import tee
 from pathlib import Path
 
 from . import datasets as ds
@@ -160,6 +166,15 @@ class RunConfig:
             raise ConfigError("output_path is required")
         if self.concurrency < 1:
             raise ConfigError("concurrency must be >= 1")
+        if self.seed < 0:
+            # random.Random hashes the absolute value, so -7 would draw as 7
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.max_output_tokens < 1:
+            raise ConfigError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
+        if not self.temperature >= 0.0:
+            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        if not 0.0 < self.top_p <= 1.0:
+            raise ConfigError(f"top_p must be in (0, 1], got {self.top_p}")
         if not 0.0 <= self.cutoff <= 1.0:
             raise ConfigError(f"cutoff must be in [0, 1], got {self.cutoff}")
         if self.split not in ("train", "test"):
@@ -308,15 +323,14 @@ def make_backend(config: RunConfig):
     )
 
 
-def prepare_jobs(config: RunConfig, split: ds.DatasetSplit) -> list[_Job]:
-    """Build every request up front, in sample order.
+def _jobs(config: RunConfig, split: ds.DatasetSplit) -> Iterator[_Job]:
+    """Build each sample's request when it is asked for, in sample order.
 
     The per-sample exemplar draw is indexed by the sample's position in
     the split, so concurrent completion order cannot perturb randomness.
     """
     params = DecodeParams(config.temperature, config.top_p, config.max_output_tokens)
     domain = ds.DOMAIN_BY_DATASET[config.dataset]
-    jobs: list[_Job] = []
     if config.method == "umr":
         docs = [
             truncate_document(load_document(path), EXEMPLAR_KEEP)
@@ -324,23 +338,28 @@ def prepare_jobs(config: RunConfig, split: ds.DatasetSplit) -> list[_Job]:
         ]
         blocks = [format_exemplars(doc) for doc in docs]
         draws = exemplar_draw_indices(config.seed, len(split.samples), len(docs))
-        for i, sample in enumerate(split.samples):
-            doc = docs[draws[i]]
+        for i, (sample, draw) in enumerate(zip(split.samples, draws)):
+            doc = docs[draw]
             bundle = build_umr_prompt(
-                blocks[draws[i]],
+                blocks[draw],
                 sample.text,
                 domain,
                 split.categories,
                 exemplar_file_id=doc.source_id,
             )
             request = ChatRequest(config.model_id, bundle.system, bundle.user, params)
-            jobs.append(_Job(i, sample.id, request, doc.source_id))
+            yield _Job(i, sample.id, request, doc.source_id)
     else:
         for i, sample in enumerate(split.samples):
             bundle = build_baseline_prompt(split.categories, sample.text)
             request = ChatRequest(config.model_id, bundle.system, bundle.user, params)
-            jobs.append(_Job(i, sample.id, request, None))
-    return jobs
+            yield _Job(i, sample.id, request, None)
+
+
+def prepare_jobs(config: RunConfig, split: ds.DatasetSplit) -> list[_Job]:
+    """Every job of the run as a list, for callers that need its length
+    or to index it; ``run`` builds each job only when its turn comes."""
+    return list(_jobs(config, split))
 
 
 def _pairs_to_json(pairs) -> list[list[str]]:
@@ -416,7 +435,6 @@ def run(config: RunConfig) -> RunSummary:
     t0 = time.perf_counter()
     split = _load_split(config)
     inventory = pp.PreparedInventory(split.categories)
-    jobs = prepare_jobs(config, split)
     client = ChatClient(
         make_backend(config),
         cache_dir=config.cache_dir or None,
@@ -426,8 +444,11 @@ def run(config: RunConfig) -> RunSummary:
     results_path = Path(config.output_path)
     digest = hashlib.sha256()
     n_cache_hits = n_dropped = n_errors = n_format = 0
+    # the answers read their requests ahead of the records; tee keeps the
+    # jobs in between, and no more
+    jobs, ahead = tee(_jobs(config, split))
     with atomic_file(results_path) as out, closing(
-        client.answers(job.request for job in jobs)
+        client.answers(job.request for job in ahead)
     ) as answers:
         for job, answer in zip(jobs, answers):
             record, backend, dropped = _process_job(job, answer, inventory, config.cutoff)
@@ -439,6 +460,7 @@ def run(config: RunConfig) -> RunSummary:
             n_errors += record["error"] is not None
             n_format += record["format_failure"]
 
+    n_samples = len(split.samples)
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "config": {**asdict(config), "exemplar_paths": list(config.exemplar_paths)},
@@ -450,7 +472,7 @@ def run(config: RunConfig) -> RunSummary:
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "duration_s": round(time.perf_counter() - t0, 3),
         "counts": {
-            "samples": len(jobs),
+            "samples": n_samples,
             "cache_hits": n_cache_hits,
             "format_failures": n_format,
             "dropped_pairs": n_dropped,
@@ -465,12 +487,12 @@ def run(config: RunConfig) -> RunSummary:
     logger.info(
         "%s/%s/%s: %d samples, %d cache hits, %d format failures, %d transport errors",
         config.dataset, config.method, config.model_id,
-        len(jobs), n_cache_hits, n_format, n_errors,
+        n_samples, n_cache_hits, n_format, n_errors,
     )
     return RunSummary(
         str(results_path),
         str(manifest_path),
-        len(jobs),
+        n_samples,
         n_cache_hits,
         n_format,
         n_errors,
@@ -482,9 +504,9 @@ def run(config: RunConfig) -> RunSummary:
 # Scoring
 
 
-def read_results(path: str | Path) -> Iterator[tuple[str, dict]]:
-    """Yield ``(sample_id, record)`` for each record of a results JSONL
-    file, in file order, reading one line at a time."""
+def read_results(path: str | Path) -> Iterator[tuple[int, str, dict]]:
+    """Yield ``(line number, sample_id, record)`` for each record of a
+    results JSONL file, in file order, reading one line at a time."""
     seen: set[str] = set()
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
@@ -500,47 +522,67 @@ def read_results(path: str | Path) -> Iterator[tuple[str, dict]]:
             if sid in seen:
                 raise RunDataError(f"{path}:{lineno}: duplicate sample_id {sid!r}")
             seen.add(sid)
-            yield sid, record
+            yield lineno, sid, record
+
+
+def _pair_set(pairs, pair_of: dict, where: str) -> frozenset:
+    """A record's ``pairs`` as a frozenset of Pair, one shared Pair per
+    distinct (category, polarity) through ``pair_of``."""
+    if not isinstance(pairs, list):
+        raise RunDataError(f"{where}: 'pairs' must be a list, got {pairs!r}")
+    out = set()
+    for item in pairs:
+        if not (
+            isinstance(item, list)
+            and len(item) == 2
+            and isinstance(item[0], str)
+            and isinstance(item[1], str)
+        ):
+            raise RunDataError(f"{where}: each pair must be [category, polarity], got {item!r}")
+        key = (item[0], item[1])
+        pair = pair_of.get(key)
+        if pair is None:
+            try:
+                polarity = ds.Polarity(item[1])
+            except ValueError:
+                raise RunDataError(f"{where}: unknown polarity {item[1]!r}") from None
+            pair = pair_of[key] = ds.Pair(item[0], polarity)
+        out.add(pair)
+    return frozenset(out)
 
 
 def score_run(results_path: str | Path, split: ds.DatasetSplit):
     """Join results to gold by sample id and compute the micro-F1 report.
 
-    Of each record only its ``pairs`` and ``format_failure`` are kept, so
-    the raw model outputs are never all in memory at once. Samples
-    without a record are scored as empty predictions and reported via
-    n_missing_records.
+    Each record is checked and reduced to its pair set as it is read, so
+    neither the raw model outputs nor the JSON pair lists are ever all in
+    memory at once; the first fault in file order raises RunDataError.
+    Samples without a record are scored as empty predictions and
+    reported via n_missing_records.
     """
     from .metrics import score
 
-    predictions = {
-        sid: (record.get("pairs", []), record.get("format_failure"))
-        for sid, record in read_results(results_path)
-    }
     known_ids = {sample.id for sample in split.samples}
-    unknown = sorted(set(predictions) - known_ids)
-    if unknown:
-        raise RunDataError(
-            f"{results_path}: {len(unknown)} record ids not present in the "
-            f"dataset (first: {unknown[0]!r})"
-        )
+    pair_of: dict = {}
+    pair_sets: dict = {}  # each distinct prediction is held once
+    predictions: dict[str, frozenset] = {}
+    n_format = 0
+    for lineno, sid, record in read_results(results_path):
+        where = f"{results_path}:{lineno}"
+        if sid not in known_ids:
+            raise RunDataError(f"{where}: record id {sid!r} is not present in the dataset")
+        pred = _pair_set(record.get("pairs", []), pair_of, where)
+        predictions[sid] = pair_sets.setdefault(pred, pred)
+        n_format += bool(record.get("format_failure"))
     preds = []
     golds = []
     ids = []
     n_missing = 0
-    n_format = 0
     for sample in split.samples:
-        prediction = predictions.get(sample.id)
-        if prediction is None:
+        pred = predictions.get(sample.id)
+        if pred is None:
             n_missing += 1
-            pred: frozenset = frozenset()
-        else:
-            pairs, format_failure = prediction
-            pred = frozenset(
-                ds.Pair(category, ds.Polarity(polarity)) for category, polarity in pairs
-            )
-            if format_failure:
-                n_format += 1
+            pred = frozenset()
         preds.append(pred)
         golds.append(sample.gold)
         ids.append(sample.id)

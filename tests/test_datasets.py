@@ -1,7 +1,12 @@
 import json
+import random
+import tracemalloc
+from pathlib import Path
+from xml.etree import ElementTree as ET
 
 import pytest
 
+from acsa_harness import datasets as ds
 from acsa_harness.datasets import (
     CountMismatch,
     DatasetError,
@@ -10,6 +15,7 @@ from acsa_harness.datasets import (
     MissingCategoryAttribute,
     Pair,
     Polarity,
+    Sample,
     UnknownPolarityValue,
     load_dataset,
     load_shoes,
@@ -167,6 +173,187 @@ def test_xml_read_faults_are_the_same_for_both_layouts(tmp_path, name, tags):
     path.write_text("<Reviews><sentence>", "utf-8")
     with pytest.raises(MalformedXml):
         load_xml(path, name, container=tags[0], element=tags[1])
+
+
+def reference_load_xml(
+    path, name, split="test", drop_conflict=False, inventory=None,
+    container="Opinions", element="Opinion",
+):
+    """The XML loader as it was before it streamed: ET.parse on the whole
+    file, then one Sample per <sentence> of the tree."""
+    try:
+        tree = ET.parse(path)
+    except ET.ParseError as err:
+        raise MalformedXml(f"{path}: {err}") from err
+    domain = ds.DOMAIN_BY_DATASET.get(name, name.lower())
+    samples = []
+    dropped = 0
+    for i, sentence in enumerate(tree.getroot().iter("sentence")):
+        sid = sentence.get("id") or f"s{i + 1}"
+        text_el = sentence.find("text")
+        text = (text_el.text or "") if text_el is not None else ""
+        if not text.strip():
+            raise MalformedXml(f"sentence {sid!r} has no text element or empty text")
+        pairs = set()
+        opinions = sentence.find(container)
+        if opinions is not None:
+            for opinion in opinions.findall(element):
+                category = opinion.get("category")
+                if not category:
+                    raise MissingCategoryAttribute(
+                        f"sentence {sid!r}: {element} element without category attribute"
+                    )
+                polarity = ds._resolve_polarity(
+                    opinion.get("polarity"), f"sentence {sid!r}", drop_conflict
+                )
+                if polarity is None:
+                    dropped += 1
+                    continue
+                pairs.add(Pair(category, polarity))
+        samples.append(Sample(sid, text.strip(), frozenset(pairs), domain))
+    return ds._finish_split(name, split, samples, inventory, dropped)
+
+
+E2E = Path(__file__).parent / "fixtures" / "e2e"
+MAMS_TAGS = {"container": "aspectCategories", "element": "aspectCategory"}
+SEMEVAL_CATEGORIES = ("FOOD#QUALITY", "SERVICE#GENERAL", "DRINKS#PRICES", "AMBIENCE#GENERAL")
+MAMS_CATEGORIES = ("food", "service", "staff", "price", "ambience", "menu", "place")
+RAW_POLARITIES = ("positive", "negative", "neutral", "Positive", " NEGATIVE ", "conflict")
+
+
+def _opinions(rng, tag, categories) -> str:
+    """Zero to four opinions, with repeats, mixed-case polarities and conflicts."""
+    return "".join(
+        f'<{tag} category="{rng.choice(categories)}" polarity="{rng.choice(RAW_POLARITIES)}"/>'
+        for _ in range(rng.randrange(5))
+    )
+
+
+def semeval_xml(n: int, seed: int = 0) -> str:
+    """Reviews/Review/sentences, some sentences without an id, some
+    without opinions or with an empty Opinions element."""
+    rng = random.Random(seed)
+    reviews = []
+    for r in range(0, n, 7):
+        sentences = []
+        for i in range(r, min(n, r + 7)):
+            sid = f' id="{r}:{i}"' if rng.random() < 0.8 else ""
+            shape = rng.random()
+            if shape < 0.2:
+                opinions = ""
+            elif shape < 0.3:
+                opinions = "<Opinions/>"
+            else:
+                opinions = f"<Opinions>{_opinions(rng, 'Opinion', SEMEVAL_CATEGORIES)}</Opinions>"
+            sentences.append(
+                f"<sentence{sid}>\n  <text> Sentence {i} &amp; more. </text>\n  {opinions}\n</sentence>"
+            )
+        reviews.append(f'<Review rid="{r}"><sentences>{"".join(sentences)}</sentences></Review>')
+    return f'<?xml version="1.0" encoding="UTF-8"?>\n<Reviews>{"".join(reviews)}</Reviews>\n'
+
+
+def mams_xml(n: int, seed: int = 0) -> str:
+    rng = random.Random(seed)
+    sentences = "".join(
+        f"<sentence><text>Mams sentence {i}.</text><aspectCategories>"
+        f"{_opinions(rng, 'aspectCategory', MAMS_CATEGORIES)}</aspectCategories></sentence>"
+        for i in range(n)
+    )
+    return f'<?xml version="1.0"?>\n<sentences>{sentences}</sentences>\n'
+
+
+class TestStreamedXmlLoader:
+    """``load_xml`` streams its file and must load exactly what the
+    whole-tree loader loaded."""
+
+    @pytest.mark.parametrize(
+        "name,file,tags",
+        [
+            ("Laptop16", "laptop16_test.xml", {}),
+            ("Restaurant16", "restaurant16_test.xml", {}),
+            ("MAMS", "mams_test.xml", MAMS_TAGS),
+        ],
+    )
+    def test_committed_files(self, name, file, tags):
+        path = E2E / "datasets" / file
+        assert load_xml(path, name, **tags) == reference_load_xml(path, name, **tags)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("layout", ["semeval", "mams"])
+    def test_generated_files(self, tmp_path, layout, seed):
+        path = tmp_path / f"{layout}.xml"
+        if layout == "semeval":
+            path.write_text(semeval_xml(60, seed), "utf-8")
+            name, tags = "Restaurant16", {}
+        else:
+            path.write_text(mams_xml(60, seed), "utf-8")
+            name, tags = "MAMS", MAMS_TAGS
+        split = load_xml(path, name, "train", drop_conflict=True, **tags)
+        assert split == reference_load_xml(path, name, "train", drop_conflict=True, **tags)
+        assert split.n_conflict_dropped > 0
+        assert any(s.id.startswith("s") for s in split.samples)  # numbered by position
+        assert any(not s.gold for s in split.samples)
+        # both loaders raise the same fault for a conflict that is not dropped
+        with pytest.raises(UnknownPolarityValue) as streamed:
+            load_xml(path, name, **tags)
+        with pytest.raises(UnknownPolarityValue) as whole:
+            reference_load_xml(path, name, **tags)
+        assert str(streamed.value) == str(whole.value)
+
+    def test_missing_ids_are_numbered_by_position(self, tmp_path):
+        path = tmp_path / "rest.xml"
+        path.write_text(semeval_xml(40, seed=3), "utf-8")
+        split = load_xml(path, "Restaurant16", drop_conflict=True)
+        unnamed = [i for i, s in enumerate(split.samples) if s.id == f"s{i + 1}"]
+        assert unnamed and len(split.samples) == 40
+
+    def test_equal_pairs_and_gold_sets_are_shared(self, tmp_path):
+        path = tmp_path / "mams.xml"
+        path.write_text(mams_xml(200), "utf-8")
+        split = load_xml(path, "MAMS", drop_conflict=True, **MAMS_TAGS)
+        pairs = [p for s in split.samples for p in s.gold]
+        assert len({id(p) for p in pairs}) == len(set(pairs))
+        golds = [s.gold for s in split.samples]
+        assert len({id(g) for g in golds}) == len(set(golds))
+        assert not hasattr(split.samples[0], "__dict__")
+        assert not hasattr(pairs[0], "__dict__")
+
+    @pytest.mark.parametrize("layout", ["semeval", "mams"])
+    def test_truncated_file_is_malformed_and_closed(self, tmp_path, monkeypatch, layout):
+        text = semeval_xml(50) if layout == "semeval" else mams_xml(50)
+        path = tmp_path / "cut.xml"
+        path.write_text(text[: len(text) // 2], "utf-8")
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(ds, "open", recording_open, raising=False)
+        name, tags = ("Restaurant16", {}) if layout == "semeval" else ("MAMS", MAMS_TAGS)
+        with pytest.raises(MalformedXml):
+            load_xml(path, name, drop_conflict=True, **tags)
+        with pytest.raises(UnknownPolarityValue):  # a fault raised by the loader itself
+            load_xml(path, name, **tags)
+        assert len(handles) == 2 and all(h.closed for h in handles)
+        with pytest.raises(FileNotFoundError):
+            load_xml(tmp_path / "missing.xml", name, **tags)
+
+    @pytest.mark.parametrize("layout", ["semeval", "mams"])
+    def test_parse_peak_stays_near_the_split_size(self, tmp_path, layout):
+        # the whole tree of a parsed file is several times the size of the
+        # samples kept from it; a streamed parse holds one sentence at a time
+        path = tmp_path / "split.xml"
+        path.write_text(semeval_xml(3000) if layout == "semeval" else mams_xml(3000), "utf-8")
+        name, tags = ("Restaurant16", {}) if layout == "semeval" else ("MAMS", MAMS_TAGS)
+        tracemalloc.start()
+        try:
+            split = load_xml(path, name, drop_conflict=True, **tags)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(split.samples) == 3000
+        assert peak < 1.5 * held
 
 
 class TestShoes:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -165,6 +166,35 @@ class FakeChatSession:
         return FakeResponse(200, next(a for t, a in self.answers.items() if t in user))
 
 
+class FixedAnswerBackend:
+    """An in-memory backend whose answers all have the same length."""
+
+    name = "memory"
+
+    def __init__(self, size: int):
+        self.size = size
+
+    def complete(self, request):
+        return "x" * self.size + "\n[('food quality', 'positive')]"
+
+
+def run_argv(config: RunConfig, **flags) -> list[str]:
+    """``acsa run`` arguments for a baseline replay config, plus ``flags``."""
+    argv = [
+        "run",
+        "--dataset", config.dataset,
+        "--dataset-path", config.dataset_path,
+        "--method", "baseline",
+        "--model", config.model_id,
+        "--backend", "replay",
+        "--fixture-dir", config.fixture_dir,
+        "--output", config.output_path,
+    ]
+    for key, value in flags.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    return argv
+
+
 def use_session(monkeypatch, session) -> None:
     monkeypatch.setattr(
         runner, "make_backend", lambda config: HttpBackend(config.base_url, session=session)
@@ -306,6 +336,41 @@ class TestFlatConfig:
             config.validate()
 
 
+class TestValidateRanges:
+    @pytest.mark.parametrize("seed,accepted", [(-7, False), (0, True), (7, True)])
+    def test_negative_seed_refused(self, tmp_path, seed, accepted):
+        # random.Random(-7) draws what random.Random(7) draws, so a negative
+        # seed would repeat another run's exemplars under a different name
+        config = make_config(tmp_path, seed=seed)
+        write_fixtures(config)
+        if accepted:
+            config.validate()
+        else:
+            with pytest.raises(ConfigError, match="seed must be >= 0"):
+                config.validate()
+        assert cli.main(run_argv(config, seed=seed)) == (0 if accepted else 1)
+        assert Path(config.output_path).exists() == accepted
+
+    @pytest.mark.parametrize(
+        "key,refused,accepted",
+        [
+            ("max_output_tokens", -5, 1),
+            ("max_output_tokens", 0, 4096),
+            ("temperature", -3.0, 0.0),
+            ("temperature", float("nan"), 0.7),
+            ("top_p", 7.0, 1.0),
+            ("top_p", 0.0, 0.1),
+        ],
+    )
+    def test_decode_parameters_range_checked(self, tmp_path, key, refused, accepted):
+        make_config(tmp_path, **{key: accepted}).validate()
+        config = make_config(tmp_path, **{key: refused})
+        with pytest.raises(ConfigError, match=key):
+            config.validate()
+        assert cli.main(run_argv(config, **{key: refused})) == 1
+        assert_nothing_written(config)
+
+
 class TestRun:
     def test_baseline_run_records(self, tmp_path):
         config = make_config(tmp_path)
@@ -431,6 +496,32 @@ class TestRunMemory:
         assert peak < answers / 4
 
 
+    def test_run_memory_does_not_grow_with_samples(self, tmp_path, monkeypatch):
+        # The split is the run's input and is held whole by design, so it is
+        # loaded before tracing starts (the loader's own peak is bounded in
+        # test_datasets). What the run adds on top of it (requests, answers,
+        # records) must not grow with the number of samples: a run that built
+        # every request before the first answer would trace about ten times
+        # the peak at the tenfold N.
+        peaks = []
+        for n in (500, 5000):
+            directory = tmp_path / str(n)
+            directory.mkdir()
+            (directory / "rest_test.xml").write_text(many_sentences_xml(n), "utf-8")
+            config = make_config(directory, "umr")
+            split = _load_split(config)
+            monkeypatch.setattr(runner, "_load_split", lambda config, split=split: split)
+            monkeypatch.setattr(runner, "make_backend", lambda config: FixedAnswerBackend(2_000))
+            tracemalloc.start()
+            try:
+                summary = run(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert (summary.n_samples, summary.n_format_failures) == (n, 0)
+        assert peaks[1] < 1.5 * peaks[0]
+
+
 class TestWhereWorkRuns:
     """Only calls to the HTTP backend go to the worker pool."""
 
@@ -505,7 +596,7 @@ class TestWhereWorkRuns:
             [("cache", main), ("cache", main), ("http", session.post_threads[0]),
              ("http", session.post_threads[1])]
         )
-        records = dict(runner.read_results(config.output_path))
+        records = {sid: record for _, sid, record in runner.read_results(config.output_path)}
         assert records["t:0"]["pairs"] == [["FOOD#QUALITY", "positive"]]
         assert records["t:1"]["pairs"] == [["SERVICE#GENERAL", "negative"]]
 
@@ -518,6 +609,35 @@ class TestWhereWorkRuns:
             run(config)
             outputs.append(Path(config.output_path).read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_http_output_does_not_depend_on_concurrency(self, tmp_path, monkeypatch):
+        # 60 samples, every fourth cached; posts finish out of order
+        (tmp_path / "rest_test.xml").write_text(many_sentences_xml(60), "utf-8")
+        answers = {
+            f"Sentence number {i} about": f"[('food', '{('positive', 'negative', 'neutral')[i % 3]}')]"
+            for i in range(60)
+        }
+
+        class JitterSession(FakeChatSession):
+            def post(self, url, json=None, headers=None, timeout=None):
+                number = json["messages"][1]["content"].split("Sentence number ")[1].split()[0]
+                time.sleep(0.001 * (3 - int(number) % 4))  # later samples answer sooner
+                return super().post(url, json=json, headers=headers, timeout=timeout)
+
+        outputs = []
+        for concurrency in (1, 8):
+            config = http_config(tmp_path, f"jitter{concurrency}", concurrency=concurrency)
+            for job in prepare_jobs(config, _load_split(config))[::4]:
+                write_cache_file(Path(config.cache_dir) / f"{job.request.cache_key}.json",
+                                 job.request, answers[f"Sentence number {job.index} about"])
+            use_session(monkeypatch, JitterSession(answers))
+            assert run(config).n_cache_hits == 15
+            outputs.append(Path(config.output_path).read_bytes())
+        assert outputs[0] == outputs[1]
+        records = [json.loads(line) for line in outputs[0].splitlines()]
+        assert [r["raw_output"] for r in records] == [
+            answers[f"Sentence number {i} about"] for i in range(60)
+        ]
 
     @pytest.mark.parametrize("backend", ["http", "replay"])
     def test_strict_greedy_rejects_cached_response(self, tmp_path, monkeypatch, backend):
@@ -688,6 +808,53 @@ class TestScoreRun:
             handle.write(line + "\n")
         split = load_xml(config.dataset_path, "Restaurant16")
         with pytest.raises(RunDataError, match=f":5: {message}"):
+            score_run(config.output_path, split)
+
+
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            ([["FOOD#QUALITY", "positive", "extra"]], "each pair must be"),
+            ([None], "each pair must be"),
+            (None, "'pairs' must be a list"),
+            ([["FOOD#QUALITY", "angry"]], "unknown polarity 'angry'"),
+        ],
+    )
+    def test_malformed_pairs_rejected(self, tmp_path, pairs, message):
+        config = make_config(tmp_path)
+        write_fixtures(config)
+        run(config)
+        path = Path(config.output_path)
+        lines = path.read_text("utf-8").splitlines()
+        record = json.loads(lines[1])
+        record["pairs"] = pairs
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        split = load_xml(config.dataset_path, "Restaurant16")
+        with pytest.raises(RunDataError, match=f":2: {message}"):
+            score_run(config.output_path, split)
+        assert cli.main([
+            "score", "--results", config.output_path,
+            "--dataset", "Restaurant16", "--dataset-path", config.dataset_path,
+        ]) == 2
+
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        config = make_config(tmp_path)
+        write_fixtures(config)
+        run(config)
+        path = Path(config.output_path)
+        lines = path.read_text("utf-8").splitlines()
+        record = json.loads(lines[1])
+        record["pairs"] = [["FOOD#QUALITY", "angry"]]
+        lines[1] = json.dumps(record)
+        lines.append(json.dumps({"sample_id": "bogus", "pairs": []}))
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        split = load_xml(config.dataset_path, "Restaurant16")
+        with pytest.raises(RunDataError, match=":2: unknown polarity"):
+            score_run(config.output_path, split)
+        lines[1], lines[4] = lines[4], lines[1]
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        with pytest.raises(RunDataError, match=":2: record id 'bogus'"):
             score_run(config.output_path, split)
 
 
