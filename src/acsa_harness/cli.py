@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import datasets as ds
 from . import metrics, runner, stats, umr
-from .llm import AuthError, ChatClient, GreedyViolation, LlmError
+from .llm import AuthError, ChatClient, LlmError
 from .runner import ConfigError, RunConfig, RunDataError, load_config
 
 EXIT_OK = 0
@@ -105,7 +105,6 @@ def _cmd_warm_cache(args) -> int:
     client = ChatClient(
         runner.make_backend(config),
         cache_dir=config.cache_dir or None,
-        strict_greedy=config.strict_greedy,
         max_concurrency=config.concurrency,
     )
     summary = client.warm_cache([job.request for job in jobs])
@@ -231,7 +230,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, AuthError, GreedyViolation) as err:
+    except (ConfigError, AuthError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (

@@ -269,36 +269,43 @@ def load_shoes(
 ) -> DatasetSplit:
     """Load the full-review Shoes dataset from a delimited-record file.
 
-    The format is auto-detected from the first non-blank byte: '{' means
-    one JSON object per line with keys id (optional), text, and pairs
-    ([[category, polarity], ...]); anything else is tab-separated
+    The format is auto-detected from the first non-blank character: '{'
+    means one JSON object per line with keys id (optional), text, and
+    pairs ([[category, polarity], ...]); anything else is tab-separated
     ``id<TAB>text<TAB>cat<TAB>pol[<TAB>cat<TAB>pol ...]``.
+
+    Records are split at line ends only (LF, CRLF or CR), so a record's
+    text may hold any other character, U+2028 or a form feed included.
+    The file is read one line at a time.
     """
-    raw = Path(path).read_text("utf-8")
-    if not raw.strip():
-        raise MalformedRecord(f"{path}: empty file")
     domain = DOMAIN_BY_DATASET["Shoes"]
-    jsonl = raw.lstrip()[0] == "{"
+    jsonl = None
     samples: list[Sample] = []
     dropped = 0
-    for lineno, line in enumerate(raw.splitlines(), 1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        if jsonl:
-            rid, text, raw_pairs = _shoes_json_record(line, where, lineno)
-        else:
-            rid, text, raw_pairs = _shoes_tsv_record(line, where, lineno)
-        if not text.strip():
-            raise MalformedRecord(f"{where}: record has empty text")
-        pairs = set()
-        for category, raw_pol in raw_pairs:
-            polarity = _resolve_polarity(raw_pol, where, drop_conflict)
-            if polarity is None:
-                dropped += 1
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            line = line.removesuffix("\n")
+            if not line.strip():
                 continue
-            pairs.add(Pair(category, polarity))
-        samples.append(Sample(rid, text.strip(), frozenset(pairs), domain))
+            if jsonl is None:
+                jsonl = line.lstrip()[0] == "{"
+            where = f"{path}:{lineno}"
+            if jsonl:
+                rid, text, raw_pairs = _shoes_json_record(line, where, lineno)
+            else:
+                rid, text, raw_pairs = _shoes_tsv_record(line, where, lineno)
+            if not text.strip():
+                raise MalformedRecord(f"{where}: record has empty text")
+            pairs = set()
+            for category, raw_pol in raw_pairs:
+                polarity = _resolve_polarity(raw_pol, where, drop_conflict)
+                if polarity is None:
+                    dropped += 1
+                    continue
+                pairs.add(Pair(category, polarity))
+            samples.append(Sample(rid, text.strip(), frozenset(pairs), domain))
+    if jsonl is None:
+        raise MalformedRecord(f"{path}: empty file")
     return _finish_split("Shoes", split, samples, inventory, dropped)
 
 

@@ -60,10 +60,6 @@ class CacheCorrupt(LlmError):
     pass
 
 
-class GreedyViolation(LlmError):
-    """A non-greedy request was rejected before dispatch (strict mode)."""
-
-
 # Faults that concern one request: ``ChatClient.answers`` yields them in
 # place of its answer, and the run goes on. Any other exception from
 # ``ChatClient.chat`` ends the run.
@@ -75,10 +71,6 @@ class DecodeParams:
     temperature: float = 0.0
     top_p: float = 1.0
     max_output_tokens: int = 4096
-
-    @property
-    def is_greedy(self) -> bool:
-        return self.temperature == 0.0 and self.top_p == 1.0
 
 
 @dataclass(frozen=True)
@@ -303,12 +295,10 @@ class ChatClient:
         self,
         backend: Backend,
         cache_dir: str | Path | None = None,
-        strict_greedy: bool = False,
         max_concurrency: int = 4,
     ):
         self.backend = backend
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.strict_greedy = strict_greedy
         self.max_concurrency = max_concurrency
         self._guard = threading.Lock()
         # request hash -> [lock, number of chat calls holding or waiting for it]
@@ -325,23 +315,13 @@ class ChatClient:
             return None
         return read_cache_file(path, key)
 
-    def _admit(self, request: ChatRequest) -> None:
-        if self.strict_greedy and not request.params.is_greedy:
-            raise GreedyViolation(
-                f"non-greedy decode params rejected: temperature="
-                f"{request.params.temperature}, top_p={request.params.top_p}"
-            )
-
     def is_cached(self, request: ChatRequest) -> bool:
         """Whether the cache holds a file for ``request``, by its existence
-        alone; ``chat`` still reads and verifies it. Like ``chat``, raises
-        GreedyViolation before looking, under ``strict_greedy``."""
-        self._admit(request)
+        alone; ``chat`` still reads and verifies it."""
         path = self._cache_path(request.cache_key)
         return path is not None and path.exists()
 
     def chat(self, request: ChatRequest) -> ChatResponse:
-        self._admit(request)
         key = request.cache_key
         cached = self._cache_lookup(key)
         if cached is not None:

@@ -1,14 +1,22 @@
 """Turn raw LLM text into canonical (category, polarity) pairs.
 
-The pipeline is: scan the output for the last well-formed Python-style
-list of 2-tuples, then fuzzy-map each category onto the official
+The pipeline is: find the last well-formed Python-style list of quoted
+2-tuples in the output, then fuzzy-map each category onto the official
 inventory and normalize each polarity label, dropping anything that
 cannot be mapped. Every mapping decision is kept for audit.
+
+The list grammar is regular, so one regular expression (``_LIST``)
+states it: tokens are separated only by space, tab, CR and LF; an
+element is a 2-tuple of single- or double-quoted strings or a literal
+``...``; a comma may trail inside a tuple and inside the list; ``[]``
+is a list. A quoted string never holds a bare newline, and a backslash
+escapes the character after it, a newline included.
 """
 
 from __future__ import annotations
 
 import difflib
+import re
 import sys
 from array import array
 from collections import Counter
@@ -59,109 +67,23 @@ class MappingOutcome:
 # List extraction
 
 
-class _Scanner:
-    __slots__ = ("text", "pos", "end")
-
-    def __init__(self, text: str, pos: int):
-        self.text = text
-        self.pos = pos
-        self.end = len(text)
-
-    def skip_ws(self) -> None:
-        while self.pos < self.end and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self) -> str:
-        if self.pos < self.end:
-            return self.text[self.pos]
-        return ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
+# a quoted string, quotes included, with no bare newline; compiled with
+# DOTALL, a backslash pairs with whatever character follows, a newline too
+_QUOTED = r"'(?:[^'\\\n]|\\.)*'" "|" r'"(?:[^"\\\n]|\\.)*"'
+_WS = r"[ \t\r\n]*"
+_TUPLE = re.compile(
+    rf"\({_WS}({_QUOTED}){_WS},{_WS}({_QUOTED}){_WS}(?:,{_WS})?\)", re.DOTALL
+)
+# the templates' own example lists end with a literal ``...`` element
+_ELEMENT = rf"(?:\.\.\.|{_TUPLE.pattern})"
+_LIST = re.compile(
+    rf"\[{_WS}(?:\]|{_ELEMENT}{_WS}(?:,{_WS}{_ELEMENT}{_WS})*(?:,{_WS})?\])", re.DOTALL
+)
+_ESCAPE = re.compile(r"\\(.)")
 
 
-def _scan_quoted(sc: _Scanner) -> str | None:
-    quote = sc.peek()
-    if quote not in "'\"":
-        return None
-    sc.pos += 1
-    out: list[str] = []
-    while sc.pos < sc.end:
-        ch = sc.text[sc.pos]
-        if ch == "\\" and sc.pos + 1 < sc.end:
-            nxt = sc.text[sc.pos + 1]
-            if nxt in _ESCAPES:
-                out.append(_ESCAPES[nxt])
-            else:
-                out.append(ch)
-                out.append(nxt)
-            sc.pos += 2
-            continue
-        if ch == quote:
-            sc.pos += 1
-            return "".join(out)
-        if ch == "\n":
-            return None  # a quoted element never spans lines
-        out.append(ch)
-        sc.pos += 1
-    return None
-
-
-def _scan_tuple(sc: _Scanner) -> tuple[str, str] | None:
-    if not sc.take("("):
-        return None
-    sc.skip_ws()
-    first = _scan_quoted(sc)
-    if first is None:
-        return None
-    sc.skip_ws()
-    if not sc.take(","):
-        return None
-    sc.skip_ws()
-    second = _scan_quoted(sc)
-    if second is None:
-        return None
-    sc.skip_ws()
-    if sc.take(","):  # tolerated trailing comma inside the tuple
-        sc.skip_ws()
-    if not sc.take(")"):
-        return None
-    return first, second
-
-
-def _scan_list(text: str, start: int) -> tuple[list[tuple[str, str]], int] | None:
-    """Try to read a list of quoted 2-tuples beginning at text[start] == '['.
-
-    Tolerates single or double quotes, trailing commas, internal
-    whitespace/newlines, and a literal ``...`` element (the templates'
-    own example lists end with one).
-    """
-    sc = _Scanner(text, start + 1)
-    sc.skip_ws()
-    items: list[tuple[str, str]] = []
-    if sc.take("]"):
-        return items, sc.pos
-    while True:
-        sc.skip_ws()
-        if sc.text.startswith("...", sc.pos):
-            sc.pos += 3
-        else:
-            item = _scan_tuple(sc)
-            if item is None:
-                return None
-            items.append(item)
-        sc.skip_ws()
-        if sc.take(","):
-            sc.skip_ws()
-            if sc.take("]"):
-                return items, sc.pos
-            continue
-        if sc.take("]"):
-            return items, sc.pos
-        return None
+def _unquote(quoted: str) -> str:
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[0]), quoted[1:-1])
 
 
 def extract_pair_list(raw_output: str) -> list[RawPair]:
@@ -175,17 +97,18 @@ def extract_pair_list(raw_output: str) -> list[RawPair]:
     """
     start = raw_output.rfind("[")
     while start >= 0:
-        result = _scan_list(raw_output, start)
-        if result is not None:
+        found = _LIST.match(raw_output, start)
+        if found is not None:
             break
         start = raw_output.rfind("[", 0, start)
     else:
         raise NoListFound("no well-formed list of (category, polarity) tuples in output")
-    return [
-        RawPair(cat.strip(), pol.strip())
-        for cat, pol in result[0]
-        if cat.strip() and pol.strip()
-    ]
+    pairs = []
+    for cat, pol in _TUPLE.findall(raw_output, start, found.end()):
+        cat, pol = _unquote(cat).strip(), _unquote(pol).strip()
+        if cat and pol:
+            pairs.append(RawPair(cat, pol))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,11 @@ class RunConfig:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
         if not 0.0 < self.top_p <= 1.0:
             raise ConfigError(f"top_p must be in (0, 1], got {self.top_p}")
+        if self.strict_greedy and (self.temperature != 0.0 or self.top_p != 1.0):
+            raise ConfigError(
+                f"strict_greedy needs temperature = 0 and top_p = 1, got "
+                f"temperature = {self.temperature}, top_p = {self.top_p}"
+            )
         if not 0.0 <= self.cutoff <= 1.0:
             raise ConfigError(f"cutoff must be in [0, 1], got {self.cutoff}")
         if self.split not in ("train", "test"):
@@ -423,12 +428,12 @@ def run(config: RunConfig) -> RunSummary:
 
     Per-sample faults (``llm.SAMPLE_FAULTS``) are recorded, not fatal; the
     caller decides what to do when their rate exceeds
-    TRANSPORT_FAILURE_LIMIT. Any other fault, such as AuthError,
-    GreedyViolation or CacheCorrupt, cancels the HTTP calls still queued
-    and propagates. Each record is written in sample order as soon as it
-    is built, to a temp file that replaces ``output_path`` only once every
-    sample is done; the manifest is written last, atomically. A fault that
-    ends the run removes the temp file and writes no manifest.
+    TRANSPORT_FAILURE_LIMIT. Any other fault, such as AuthError or
+    CacheCorrupt, cancels the HTTP calls still queued and propagates. Each
+    record is written in sample order as soon as it is built, to a temp
+    file that replaces ``output_path`` only once every sample is done; the
+    manifest is written last, atomically. A fault that ends the run
+    removes the temp file and writes no manifest.
     """
     config.validate()
     started = datetime.now(timezone.utc).isoformat()
@@ -438,7 +443,6 @@ def run(config: RunConfig) -> RunSummary:
     client = ChatClient(
         make_backend(config),
         cache_dir=config.cache_dir or None,
-        strict_greedy=config.strict_greedy,
         max_concurrency=config.concurrency,
     )
     results_path = Path(config.output_path)

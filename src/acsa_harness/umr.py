@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import re
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -154,17 +154,6 @@ class UmrGraph:
         unreachable = set(self.nodes) - seen
         if unreachable:
             raise ValueError(f"nodes unreachable from root: {sorted(unreachable)}")
-
-    def structurally_equal(self, other: "UmrGraph") -> bool:
-        """Same root, same variable->concept map, same edge multiset.
-
-        Edge order is a serialization artifact, so it is ignored here.
-        """
-        return (
-            self.root == other.root
-            and self.nodes == other.nodes
-            and Counter(self.edges) == Counter(other.edges)
-        )
 
 
 @dataclass(frozen=True)

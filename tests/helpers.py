@@ -3,14 +3,16 @@
 Everything here is deliberately written against the raw definitions (no
 calls into the implementation paths it checks): the gestalt reference
 recurses on longest matching blocks directly, the F tail integrates the
-density by adaptive quadrature, and the graph renderer emits Penman text
-straight from a generated structure.
+density by adaptive quadrature, the graph renderer emits Penman text
+straight from a generated structure, and the list reference scans an
+answer character by character.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 from acsa_harness.umr import Const, Edge, Ref, UmrGraph
 
@@ -61,6 +63,14 @@ def random_graph(rng, max_depth: int = 4, allow_strings: bool = True) -> UmrGrap
     for _ in range(rng.randint(0, 2)):
         edges.append(Edge(rng.choice(variables), rng.choice(ROLES), Ref(rng.choice(variables))))
     return UmrGraph(root, nodes, tuple(e for e in edges if e is not None))
+
+
+def structurally_equal(a: UmrGraph, b: UmrGraph) -> bool:
+    """Same root, same variable->concept map, same edge multiset.
+
+    Edge order is a serialization artifact, so it is ignored here.
+    """
+    return a.root == b.root and a.nodes == b.nodes and Counter(a.edges) == Counter(b.edges)
 
 
 def render_random(rng, graph: UmrGraph) -> str:
@@ -160,3 +170,115 @@ def f_upper_tail_quadrature(f_stat: float, d1: int, d2: int) -> float:
         f_density, f_stat, math.inf, args=(d1, d2), epsabs=1e-12, epsrel=1e-12, limit=300
     )
     return value
+
+
+# ---------------------------------------------------------------------------
+# Answer-list reference: a hand-written scanner for the list grammar that
+# ``postprocess`` states as regular expressions
+
+_LIST_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", "'": "'", '"': '"'}
+
+
+class _Scanner:
+    __slots__ = ("text", "pos", "end")
+
+    def __init__(self, text: str, pos: int):
+        self.text = text
+        self.pos = pos
+        self.end = len(text)
+
+    def skip_ws(self) -> None:
+        while self.pos < self.end and self.text[self.pos] in " \t\r\n":
+            self.pos += 1
+
+    def peek(self) -> str:
+        if self.pos < self.end:
+            return self.text[self.pos]
+        return ""
+
+    def take(self, ch: str) -> bool:
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+
+def _scan_quoted(sc: _Scanner) -> str | None:
+    quote = sc.peek()
+    if quote not in "'\"":
+        return None
+    sc.pos += 1
+    out: list[str] = []
+    while sc.pos < sc.end:
+        ch = sc.text[sc.pos]
+        if ch == "\\" and sc.pos + 1 < sc.end:
+            nxt = sc.text[sc.pos + 1]
+            if nxt in _LIST_ESCAPES:
+                out.append(_LIST_ESCAPES[nxt])
+            else:
+                out.append(ch)
+                out.append(nxt)
+            sc.pos += 2
+            continue
+        if ch == quote:
+            sc.pos += 1
+            return "".join(out)
+        if ch == "\n":
+            return None  # a quoted element never spans lines
+        out.append(ch)
+        sc.pos += 1
+    return None
+
+
+def _scan_tuple(sc: _Scanner) -> tuple[str, str] | None:
+    if not sc.take("("):
+        return None
+    sc.skip_ws()
+    first = _scan_quoted(sc)
+    if first is None:
+        return None
+    sc.skip_ws()
+    if not sc.take(","):
+        return None
+    sc.skip_ws()
+    second = _scan_quoted(sc)
+    if second is None:
+        return None
+    sc.skip_ws()
+    if sc.take(","):  # tolerated trailing comma inside the tuple
+        sc.skip_ws()
+    if not sc.take(")"):
+        return None
+    return first, second
+
+
+def scan_list_reference(text: str, start: int) -> tuple[list[tuple[str, str]], int] | None:
+    """Try to read a list of quoted 2-tuples beginning at text[start] == '['.
+
+    Tolerates single or double quotes, trailing commas, internal
+    whitespace/newlines, and a literal ``...`` element (the templates'
+    own example lists end with one).
+    """
+    sc = _Scanner(text, start + 1)
+    sc.skip_ws()
+    items: list[tuple[str, str]] = []
+    if sc.take("]"):
+        return items, sc.pos
+    while True:
+        sc.skip_ws()
+        if sc.text.startswith("...", sc.pos):
+            sc.pos += 3
+        else:
+            item = _scan_tuple(sc)
+            if item is None:
+                return None
+            items.append(item)
+        sc.skip_ws()
+        if sc.take(","):
+            sc.skip_ws()
+            if sc.take("]"):
+                return items, sc.pos
+            continue
+        if sc.take("]"):
+            return items, sc.pos
+        return None

@@ -262,6 +262,23 @@ def mams_xml(n: int, seed: int = 0) -> str:
     return f'<?xml version="1.0"?>\n<sentences>{sentences}</sentences>\n'
 
 
+def shoes_jsonl(n: int, seed: int = 0) -> str:
+    """Full reviews of about 120 words each, one JSON object per line."""
+    rng = random.Random(seed)
+    words = "boots laces sole heel fit size leather waterproof price arch toe narrow".split()
+    categories = ("comfort", "sizing", "durability", "price", "appearance")
+    records = [
+        {
+            "id": f"r{i}",
+            "text": " ".join(rng.choice(words) for _ in range(120)),
+            "pairs": [[rng.choice(categories), rng.choice(("positive", "negative", "neutral"))]
+                      for _ in range(rng.randrange(0, 4))],
+        }
+        for i in range(n)
+    ]
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
 class TestStreamedXmlLoader:
     """``load_xml`` streams its file and must load exactly what the
     whole-tree loader loaded."""
@@ -339,20 +356,27 @@ class TestStreamedXmlLoader:
         with pytest.raises(FileNotFoundError):
             load_xml(tmp_path / "missing.xml", name, **tags)
 
-    @pytest.mark.parametrize("layout", ["semeval", "mams"])
+    @pytest.mark.parametrize("layout", ["semeval", "mams", "shoes"])
     def test_parse_peak_stays_near_the_split_size(self, tmp_path, layout):
-        # the whole tree of a parsed file is several times the size of the
-        # samples kept from it; a streamed parse holds one sentence at a time
-        path = tmp_path / "split.xml"
-        path.write_text(semeval_xml(3000) if layout == "semeval" else mams_xml(3000), "utf-8")
-        name, tags = ("Restaurant16", {}) if layout == "semeval" else ("MAMS", MAMS_TAGS)
+        # the whole tree of a parsed file, or the whole text of a Shoes
+        # file, is several times the size of the samples kept from it; a
+        # streamed parse holds one sentence or one line at a time
+        n = 906 if layout == "shoes" else 3000
+        path = tmp_path / "split.data"
+        path.write_text(
+            {"semeval": semeval_xml, "mams": mams_xml, "shoes": shoes_jsonl}[layout](n), "utf-8"
+        )
         tracemalloc.start()
         try:
-            split = load_xml(path, name, drop_conflict=True, **tags)
+            if layout == "shoes":
+                split = load_shoes(path)
+            else:
+                name, tags = ("Restaurant16", {}) if layout == "semeval" else ("MAMS", MAMS_TAGS)
+                split = load_xml(path, name, drop_conflict=True, **tags)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(split.samples) == 3000
+        assert len(split.samples) == n
         assert peak < 1.5 * held
 
 
@@ -388,6 +412,39 @@ class TestShoes:
             {Pair("comfort", Polarity.POSITIVE), Pair("durability", Polarity.POSITIVE)}
         )
         assert split.samples[1].gold == frozenset()
+
+    def test_jsonl_text_may_hold_unicode_line_breaks(self, tmp_path):
+        # json.dumps(..., ensure_ascii=False) writes these characters raw;
+        # only LF, CRLF and CR end a record
+        texts = ["Comfy\u2028but loud.", "Snug\x85fit.", "Page\x0cbreak\x1cand\x0bmore."]
+        records = [{"id": f"r{i}", "text": t, "pairs": [["fit", "positive"]]}
+                   for i, t in enumerate(texts)]
+        path = tmp_path / "shoes.jsonl"
+        path.write_text(
+            "\n".join(json.dumps(r, ensure_ascii=False) for r in records) + "\r\n\n{", "utf-8"
+        )
+        with pytest.raises(MalformedRecord, match=r"shoes\.jsonl:5: invalid JSON"):
+            load_shoes(path)
+        path.write_text(path.read_text("utf-8")[:-1], "utf-8")
+        split = load_shoes(path)
+        assert [s.text for s in split.samples] == texts
+        assert [s.id for s in split.samples] == ["r0", "r1", "r2"]
+
+    def test_tsv_text_may_hold_form_feed(self, tmp_path):
+        path = tmp_path / "shoes.tsv"
+        path.write_text(
+            "\n\t\nr1\tGreat\x0cboots.\tcomfort\tpositive\r\n\tNo id.\u2028Fine.\n", "utf-8"
+        )
+        split = load_shoes(path)
+        assert [(s.id, s.text) for s in split.samples] == [
+            ("r1", "Great\x0cboots."), ("r4", "No id.\u2028Fine.")
+        ]
+
+    def test_blank_file_is_empty(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n  \r\n\t\n", "utf-8")
+        with pytest.raises(MalformedRecord, match="empty file"):
+            load_shoes(path)
 
     def test_format_autodetect(self, tmp_path):
         path = tmp_path / "shoes.txt"

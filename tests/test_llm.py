@@ -14,7 +14,6 @@ from acsa_harness.llm import (
     ChatClient,
     ChatRequest,
     DecodeParams,
-    GreedyViolation,
     HttpBackend,
     MissingFixture,
     RateLimited,
@@ -77,9 +76,7 @@ class TestRequestHashing:
 
     def test_greedy_preset(self):
         params = DecodeParams()
-        assert params.is_greedy
         assert (params.temperature, params.top_p) == (0.0, 1.0)
-        assert not DecodeParams(0.7, 1.0, 10).is_greedy
 
 
 class TestChatClient:
@@ -205,15 +202,6 @@ class TestChatClient:
         assert backend.calls == 4
         assert backend.max_concurrent > 1
 
-    def test_strict_greedy_rejects_before_dispatch(self, tmp_path):
-        backend = FakeBackend()
-        client = ChatClient(backend, cache_dir=tmp_path / "cache", strict_greedy=True)
-        with pytest.raises(GreedyViolation):
-            client.chat(make_request(temperature=0.7))
-        assert backend.calls == 0
-        client.chat(make_request())  # greedy passes
-        assert backend.calls == 1
-
     def test_is_cached_checks_file_existence(self, tmp_path):
         request = make_request()
         client = ChatClient(FakeBackend(), cache_dir=tmp_path / "cache")
@@ -221,14 +209,6 @@ class TestChatClient:
         client.chat(request)
         assert client.is_cached(request)
         assert not ChatClient(FakeBackend()).is_cached(request)  # no cache dir
-
-    def test_strict_greedy_rejects_cached_request(self, tmp_path):
-        request = make_request(temperature=0.7)
-        ChatClient(FakeBackend(), cache_dir=tmp_path / "cache").chat(request)
-        strict = ChatClient(FakeBackend(), cache_dir=tmp_path / "cache", strict_greedy=True)
-        for call in (strict.is_cached, strict.chat):
-            with pytest.raises(GreedyViolation):
-                call(request)
 
     def test_warm_cache_summary(self, tmp_path):
         backend = FakeBackend()

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import gestalt_reference
+from helpers import gestalt_reference, scan_list_reference
 
 from acsa_harness.datasets import Pair, Polarity
 from acsa_harness import postprocess
@@ -24,7 +24,6 @@ from acsa_harness.postprocess import (
     _best_category,
     _fold,
     _lcs_length,
-    _scan_list,
     _shared_counts,
     normalize_polarity,
     similarity,
@@ -115,11 +114,12 @@ def _reference_scored(folded, texts):
 
 
 def _reference_extract(raw_output):
-    """The forward scan: try every '[' and keep the last list that parses."""
+    """The forward scan: try every '[' with the hand-written scanner and
+    keep the last list that parses."""
     found = None
     for start, ch in enumerate(raw_output):
         if ch == "[":
-            result = _scan_list(raw_output, start)
+            result = scan_list_reference(raw_output, start)
             if result is not None:
                 found = result[0]
     if found is None:
@@ -180,6 +180,23 @@ class TestExtractPairList:
     def test_empty_list_is_not_format_failure(self):
         assert extract_pair_list("[]") == []
 
+    def test_escapes_and_whitespace(self):
+        text = (
+            "[('it\\'s', \"say \\\"hi\\\"\"),\r\n\t"
+            "('a\\\\b', 'x\\qy\\n'), ('line\\\nbreak', 'ok')]"
+        )
+        assert extract_pair_list(text) == [
+            RawPair("it's", 'say "hi"'),
+            RawPair("a\\b", "x\\qy"),
+            RawPair("line\\\nbreak", "ok"),
+        ]
+        # only space, tab, CR and LF separate tokens; str.strip trims the rest
+        assert extract_pair_list("[('\xa0food\x0c', 'positive')]") == [RawPair("food", "positive")]
+        for text in ("[\x0c('food', 'positive')]", "[(\xa0'food', 'positive')]",
+                     "[('multi\nline', 'positive')]", "[('food', 'positive')\\]"):
+            with pytest.raises(NoListFound):
+                extract_pair_list(text)
+
     def test_no_list_raises(self):
         with pytest.raises(NoListFound):
             extract_pair_list("")
@@ -213,6 +230,21 @@ class TestExtractMatchesForwardScan:
         "(('tuple', 'not list'))",
         "'",
         '"',
+        "[('it\\'s', 'positive')]",
+        '[("say \\"hi\\"", "neutral")]',
+        "[('line\\\nbreak', 'negative')]",
+        "[('a\\\\', 'tab\\there'), ('\\q', 'x')]",
+        "[\r\n\t('crlf', 'positive')\r\n]",
+        "[\x0c('form feed', 'positive')]",
+        "[('\x0c', 'positive'), ('\xa0nbsp\xa0', 'neutral')]",
+        "[(\xa0'nbsp', 'positive')]",
+        "[()]",
+        "\\'",
+        '\\"',
+        "\\\n",
+        "\\",
+        "\x0c",
+        "\xa0",
     )
 
     def _text(self, rng):

@@ -15,7 +15,6 @@ from acsa_harness.llm import (
     AuthError,
     CacheCorrupt,
     ChatClient,
-    GreedyViolation,
     HttpBackend,
     ReplayBackend,
     WarmSummary,
@@ -246,6 +245,36 @@ def assert_nothing_written(config: RunConfig) -> None:
     assert not config.manifest_path().exists()
 
 
+def write_config_file(config: RunConfig, path: Path) -> Path:
+    """``config`` in the flat config format, every field spelt out; each
+    of its values is written as JSON writes it."""
+    path.write_text(
+        "".join(f"{key} = {json.dumps(getattr(config, key))}\n" for key in RunConfig.field_names()),
+        "utf-8",
+    )
+    return path
+
+
+def assert_strict_greedy_refuses(config: RunConfig, monkeypatch) -> None:
+    """``config`` fails validation on strict_greedy: ``run`` raises
+    ConfigError, ``acsa run`` and ``acsa warm-cache`` exit 1, no backend is
+    built and no request is answered, and nothing is written."""
+    built, answered = [], []
+    make_backend, chat = runner.make_backend, ChatClient.chat
+    monkeypatch.setattr(runner, "make_backend", lambda c: built.append(c) or make_backend(c))
+    monkeypatch.setattr(
+        ChatClient, "chat", lambda self, request: answered.append(request) or chat(self, request)
+    )
+    with pytest.raises(ConfigError, match="strict_greedy"):
+        run(config)
+    path = write_config_file(config, Path(config.output_path).with_suffix(".toml"))
+    assert load_config(path) == config
+    for command in ("run", "warm-cache"):
+        assert cli.main([command, "--config", str(path)]) == 1
+    assert built == [] and answered == []
+    assert_nothing_written(config)
+
+
 def canned_by_text(config: RunConfig) -> dict[str, str]:
     split = load_xml(config.dataset_path, config.dataset)
     return {sample.text: CANNED[sample.id] for sample in split.samples}
@@ -369,6 +398,15 @@ class TestValidateRanges:
             config.validate()
         assert cli.main(run_argv(config, **{key: refused})) == 1
         assert_nothing_written(config)
+
+    @pytest.mark.parametrize("key,refused", [("temperature", 0.7), ("top_p", 0.9)])
+    def test_strict_greedy_needs_greedy_decode(self, tmp_path, monkeypatch, key, refused):
+        config = make_config(tmp_path, strict_greedy=True, cache_dir=str(tmp_path / "cache"))
+        write_fixtures(config)
+        assert run(config).n_transport_errors == 0  # greedy decoding passes
+        config.update({key: refused, "output_path": str(tmp_path / "refused.jsonl")})
+        write_fixtures(config)  # the refused run would find every answer
+        assert_strict_greedy_refuses(config, monkeypatch)
 
 
 class TestRun:
@@ -648,9 +686,8 @@ class TestWhereWorkRuns:
         if backend == "http":
             use_session(monkeypatch, session)
         assert run(config).n_cache_hits == 4  # so every response is cached
-        config.strict_greedy = True
-        with pytest.raises(GreedyViolation):
-            run(config)
+        config.update({"strict_greedy": True, "output_path": str(tmp_path / "strict.jsonl")})
+        assert_strict_greedy_refuses(config, monkeypatch)
         assert session.post_threads == []
 
 
