@@ -74,9 +74,6 @@ class Pair:
     polarity: Polarity
 
 
-PairSet = frozenset  # of Pair; deduplication on exact equality is inherent
-
-
 @dataclass(frozen=True, slots=True)
 class Sample:
     id: str

@@ -25,6 +25,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import time
 from collections.abc import Iterator
 from contextlib import closing
@@ -192,9 +193,10 @@ class RunConfig:
 def parse_flat_config(text: str) -> dict:
     """Parse the flat TOML-shaped ``key = value`` config format.
 
-    Values are quoted strings, single-line arrays of quoted strings,
-    integers, floats, or true/false. ``#`` starts a comment outside
-    quotes.
+    Values are quoted strings, single-line comma-separated arrays of
+    quoted strings, integers, floats, or true/false. A quoted string
+    decodes TOML's basic-string escapes and refuses any other backslash.
+    ``#`` starts a comment outside quotes.
     """
     result: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -234,6 +236,8 @@ def _parse_config_value(text: str, lineno: int):
             rest = rest.lstrip()
             if rest.startswith(","):
                 rest = rest[1:].lstrip()
+            elif rest and not rest.startswith("]"):
+                raise ConfigError(f"line {lineno}: array items must be separated by commas")
     bare = text.split("#", 1)[0].strip()
     if not bare:
         raise ConfigError(f"line {lineno}: missing value")
@@ -251,20 +255,29 @@ def _parse_config_value(text: str, lineno: int):
         raise ConfigError(f"line {lineno}: cannot parse value {bare!r}") from None
 
 
+# a TOML basic string, and its escapes (TOML 1.0)
+_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+_ESCAPE_VALUES = {"b": "\b", "t": "\t", "n": "\n", "f": "\f", "r": "\r", '"': '"', "\\": "\\"}
+
+
 def _read_quoted(text: str, lineno: int) -> tuple[str, str]:
-    out: list[str] = []
-    i = 1
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text) and text[i + 1] in '\\"':
-            out.append(text[i + 1])
-            i += 2
-            continue
-        if ch == '"':
-            return "".join(out), text[i + 1 :]
-        out.append(ch)
-        i += 1
-    raise ConfigError(f"line {lineno}: unterminated string")
+    """Decode the quoted string that starts ``text``; return it and the rest."""
+    match = _QUOTED.match(text)
+    if match is None:
+        raise ConfigError(f"line {lineno}: unterminated string")
+
+    def decode(escape: re.Match) -> str:
+        if escape[3] is not None:
+            if escape[3] not in _ESCAPE_VALUES:
+                raise ConfigError(f"line {lineno}: unknown escape {escape[0]!r}")
+            return _ESCAPE_VALUES[escape[3]]
+        code = int(escape[1] or escape[2], 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise ConfigError(f"line {lineno}: {escape[0]} is not a Unicode scalar value")
+        return chr(code)
+
+    return _ESCAPE.sub(decode, match[1]), text[match.end() :]
 
 
 def _expect_only_comment(rest: str, lineno: int) -> None:

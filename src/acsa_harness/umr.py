@@ -1,10 +1,17 @@
-"""Penman-notation UMR graphs and corpus documents.
+r"""Penman-notation UMR graphs and corpus documents.
 
 Parses sentence-level UMR graphs written in Penman notation, serializes
 them back to a canonical indented form, and slices corpus documents into
 the sentence/parse pairs used as in-context exemplars. Alignment blocks,
 document-level annotation, and other corpus sections are skipped: only
 the sentence text and its sentence-level graph matter here.
+
+Graph text is read with one token pattern: space, tab, CR and LF separate
+tokens, and every other character belongs to one. A token is ``(``, ``)``,
+``/``, a role (``:`` and a non-empty name), a string in double quotes
+(``\\`` and ``\"`` stand for ``\`` and ``"``; any other backslash is kept),
+or an atom (variable, concept or symbol): a run of characters other than
+whitespace and ``()/":``. A ``"`` that nothing closes is an error.
 """
 
 from __future__ import annotations
@@ -172,216 +179,26 @@ class UmrDocument:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parser
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "(", ")", "/", "role", "string", "atom"
-    value: str
-    line: int
-    col: int
-
-
-_DELIMS = frozenset(' \t\r\n()/":')
+_TOKEN = re.compile(
+    r"""
+      [ \t\r\n]+
+    | (?P<punct>[()/])
+    | "(?P<string>(?:[^"\\]|\\.)*)"
+    | :(?P<role>[^ \t\r\n()/":]*)
+    | (?P<atom>[^ \t\r\n()/":]+)
+    | (?P<quote>")
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_STRING_ESCAPE = re.compile(r'\\([\\"])')
 
 # Tokens shaped like graph variables: one lowercase letter plus optional
 # digits (classic Penman), or letters+digits+trailing alphanumerics (UMR
 # sentence variables such as s1p2). Bare value tokens of this shape must
 # resolve to an introduced variable; anything else is a symbol constant.
 _VAR_SHAPED = re.compile(r"(?:[a-z][0-9]*|[a-z]+[0-9]+[a-z0-9]*)\Z")
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_line, start_col = line, col
-        if ch in "()/":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            i += 1
-            col += 1
-            buf: list[str] = []
-            while True:
-                if i >= n:
-                    raise UnterminatedString("unterminated string constant", start_line, start_col)
-                c = text[i]
-                if c == "\\" and i + 1 < n and text[i + 1] in '\\"':
-                    buf.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                buf.append(c)
-                i += 1
-            tokens.append(_Token("string", "".join(buf), start_line, start_col))
-            continue
-        if ch == ":":
-            j = i + 1
-            while j < n and text[j] not in _DELIMS:
-                j += 1
-            name = text[i + 1 : j]
-            if not name:
-                raise UmrParseError("empty role label", start_line, start_col)
-            col += j - i
-            i = j
-            tokens.append(_Token("role", name, start_line, start_col))
-            continue
-        j = i
-        while j < n and text[j] not in _DELIMS:
-            j += 1
-        tokens.append(_Token("atom", text[i:j], start_line, start_col))
-        col += j - i
-        i = j
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# Parser
-
-
-class _Pending:
-    """Unquoted value token whose variable-vs-symbol status is resolved last."""
-
-    __slots__ = ("value", "line", "col")
-
-    def __init__(self, value: str, line: int, col: int):
-        self.value = value
-        self.line = line
-        self.col = col
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.nodes: dict[str, str] = {}
-        self.raw_edges: list = []
-
-    def peek(self) -> _Token | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def advance(self) -> _Token | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def parse_node(self) -> str:
-        opener = self.advance()
-        if opener is None or opener.kind != "(":
-            where = opener or self._eof()
-            raise UnbalancedParens("expected '('", where.line, where.col)
-        var_tok = self.advance()
-        if var_tok is None:
-            raise UnbalancedParens("unexpected end of input after '('", opener.line, opener.col)
-        if var_tok.kind != "atom":
-            raise UmrParseError(
-                f"expected a variable name after '(', got {var_tok.value!r}",
-                var_tok.line,
-                var_tok.col,
-            )
-        var = var_tok.value
-        if var in self.nodes:
-            raise DuplicateVariable(
-                f"variable {var!r} introduced more than once", var_tok.line, var_tok.col
-            )
-        slash = self.advance()
-        if slash is None:
-            raise UnbalancedParens("unexpected end of input inside node", var_tok.line, var_tok.col)
-        if slash.kind != "/":
-            raise MissingConceptSlash(
-                f"expected '/' after variable {var!r}", slash.line, slash.col
-            )
-        concept_tok = self.advance()
-        if concept_tok is None:
-            raise UnbalancedParens("unexpected end of input after '/'", slash.line, slash.col)
-        if concept_tok.kind != "atom":
-            raise UmrParseError(
-                f"expected a concept label after '/', got {concept_tok.value!r}",
-                concept_tok.line,
-                concept_tok.col,
-            )
-        self.nodes[var] = concept_tok.value
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise UnbalancedParens(
-                    f"unexpected end of input: node {var!r} is never closed",
-                    concept_tok.line,
-                    concept_tok.col,
-                )
-            if tok.kind == ")":
-                self.advance()
-                return var
-            if tok.kind == "role":
-                self.advance()
-                self._parse_value(var, tok)
-                continue
-            raise UmrParseError(
-                f"expected a role or ')' inside node {var!r}, got {tok.value!r}",
-                tok.line,
-                tok.col,
-            )
-
-    def _parse_value(self, source: str, role_tok: _Token) -> None:
-        tok = self.peek()
-        if tok is None:
-            raise UnbalancedParens(
-                f"unexpected end of input after role :{role_tok.value}",
-                role_tok.line,
-                role_tok.col,
-            )
-        if tok.kind == "(":
-            slot = len(self.raw_edges)
-            self.raw_edges.append(None)
-            child = self.parse_node()
-            self.raw_edges[slot] = (source, role_tok.value, Ref(child))
-            return
-        if tok.kind == "string":
-            self.advance()
-            self.raw_edges.append((source, role_tok.value, Const(tok.value, "string")))
-            return
-        if tok.kind == "atom":
-            self.advance()
-            self.raw_edges.append((source, role_tok.value, _Pending(tok.value, tok.line, tok.col)))
-            return
-        raise UmrParseError(
-            f"expected a value after role :{role_tok.value}, got {tok.value!r}",
-            tok.line,
-            tok.col,
-        )
-
-    def _eof(self) -> _Token:
-        if self.tokens:
-            last = self.tokens[-1]
-            return _Token("eof", "", last.line, last.col)
-        return _Token("eof", "", 1, 1)
 
 
 def parse_graph(text: str) -> UmrGraph:
@@ -394,33 +211,102 @@ def parse_graph(text: str) -> UmrGraph:
     """
     if not text or not text.strip():
         raise EmptyInput("input contains no graph text")
-    tokens = _tokenize(text)
-    parser = _Parser(tokens)
-    first = parser.peek()
-    if first is None or first.kind != "(":
-        where = first or parser._eof()
-        raise UnbalancedParens("a graph must start with '('", where.line, where.col)
-    root = parser.parse_node()
-    trailing = parser.peek()
-    if trailing is not None:
+
+    def at(token: tuple[str, str, int]) -> tuple[int, int]:
+        offset = token[2]
+        return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+    # every token is read before any is parsed, so a lexical error anywhere
+    # wins over a syntax error before it
+    tokens: list[tuple[str, str, int]] = []  # (kind, value, offset)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # whitespace
+            continue
+        token = (m[0] if kind == "punct" else kind, m[kind], m.start())
+        if kind == "quote":
+            raise UnterminatedString("unterminated string constant", *at(token))
+        if kind == "role" and not token[1]:
+            raise UmrParseError("empty role label", *at(token))
+        if kind == "string":
+            token = (kind, _STRING_ESCAPE.sub(r"\1", token[1]), token[2])
+        tokens.append(token)
+
+    nodes: dict[str, str] = {}
+    raw_edges: list = []  # (source, role, target); an atom target waits as its token
+    stream = iter(tokens)
+
+    def take(previous: tuple[str, str, int], message: str) -> tuple[str, str, int]:
+        """The next token; at the end of input, UnbalancedParens at ``previous``."""
+        token = next(stream, None)
+        if token is None:
+            raise UnbalancedParens(message, *at(previous))
+        return token
+
+    def node(opener: tuple[str, str, int]) -> str:
+        var_tok = take(opener, "unexpected end of input after '('")
+        if var_tok[0] != "atom":
+            raise UmrParseError(
+                f"expected a variable name after '(', got {var_tok[1]!r}", *at(var_tok)
+            )
+        var = var_tok[1]
+        if var in nodes:
+            raise DuplicateVariable(f"variable {var!r} introduced more than once", *at(var_tok))
+        slash = take(var_tok, "unexpected end of input inside node")
+        if slash[0] != "/":
+            raise MissingConceptSlash(f"expected '/' after variable {var!r}", *at(slash))
+        concept_tok = take(slash, "unexpected end of input after '/'")
+        if concept_tok[0] != "atom":
+            raise UmrParseError(
+                f"expected a concept label after '/', got {concept_tok[1]!r}", *at(concept_tok)
+            )
+        nodes[var] = concept_tok[1]
+        for tok in stream:
+            if tok[0] == ")":
+                return var
+            if tok[0] != "role":
+                raise UmrParseError(
+                    f"expected a role or ')' inside node {var!r}, got {tok[1]!r}", *at(tok)
+                )
+            role = tok[1]
+            value = take(tok, f"unexpected end of input after role :{role}")
+            if value[0] == "(":
+                slot = len(raw_edges)
+                raw_edges.append(None)
+                raw_edges[slot] = (var, role, Ref(node(value)))
+            elif value[0] == "string":
+                raw_edges.append((var, role, Const(value[1], "string")))
+            elif value[0] == "atom":
+                raw_edges.append((var, role, value))
+            else:
+                raise UmrParseError(
+                    f"expected a value after role :{role}, got {value[1]!r}", *at(value)
+                )
         raise UnbalancedParens(
-            "unexpected text after the root node closes", trailing.line, trailing.col
+            f"unexpected end of input: node {var!r} is never closed", *at(concept_tok)
         )
+
+    first = next(stream)  # the text is not blank, so it holds a token
+    if first[0] != "(":
+        raise UnbalancedParens("a graph must start with '('", *at(first))
+    root = node(first)
+    trailing = next(stream, None)
+    if trailing is not None:
+        raise UnbalancedParens("unexpected text after the root node closes", *at(trailing))
     edges = []
-    for source, role, target in parser.raw_edges:
-        if isinstance(target, _Pending):
-            if target.value in parser.nodes:
-                target = Ref(target.value)
-            elif _VAR_SHAPED.match(target.value):
+    for source, role, target in raw_edges:
+        if isinstance(target, tuple):
+            value = target[1]
+            if value in nodes:
+                target = Ref(value)
+            elif _VAR_SHAPED.match(value):
                 raise DanglingReference(
-                    f"variable {target.value!r} is referenced but never introduced",
-                    target.line,
-                    target.col,
+                    f"variable {value!r} is referenced but never introduced", *at(target)
                 )
             else:
-                target = Const(target.value, "symbol")
+                target = Const(value, "symbol")
         edges.append(Edge(source, role, target))
-    graph = UmrGraph(root, parser.nodes, tuple(edges))
+    graph = UmrGraph(root, nodes, tuple(edges))
     graph.validate()
     return graph
 
@@ -473,32 +359,20 @@ _SNT_MARKER = re.compile(r"^\s*(?:#\s*::\s*|::)snt(\d*)(?:[ \t]+(.*))?$")
 _GRAPH_HEADER = re.compile(r"^\s*#\s*sentence[- ]level graph\b", re.IGNORECASE)
 
 
-def _balanced_span(text: str) -> str:
-    """Return the substring from the first '(' to its matching ')'."""
-    start = text.find("(")
-    if start < 0:
-        raise UnbalancedParens("no '(' found where a graph block was expected")
+def _graph_span(block: str) -> str:
+    """The block from its first '(' to the ')' that closes it; parentheses
+    inside strings do not count, and nothing after that ')' is tokenized."""
+    start = block.find("(")
     depth = 0
-    in_string = False
-    i = start
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if in_string:
-            if ch == "\\" and i + 1 < n:
-                i += 2
-                continue
-            if ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch == "(":
+    for m in _TOKEN.finditer(block, start):
+        if m.lastgroup == "quote":
+            break
+        if m[0] == "(":
             depth += 1
-        elif ch == ")":
+        elif m[0] == ")":
             depth -= 1
             if depth == 0:
-                return text[start : i + 1]
-        i += 1
+                return block[start : m.end()]
     raise UnbalancedParens("graph block is never closed")
 
 
@@ -537,7 +411,7 @@ def parse_document(text: str, source_id: str = "<text>") -> UmrDocument:
             raise DocumentFormatError(f"entry {k}: no graph block follows the sentence marker")
         block = "\n".join(region[graph_start:])
         try:
-            graph = parse_graph(_balanced_span(block))
+            graph = parse_graph(_graph_span(block))
         except UmrParseError as err:
             raise type(err)(f"entry {k}: {err.raw_message}", err.line, err.col) from err
         entries.append((sentence, graph))

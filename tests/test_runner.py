@@ -343,6 +343,51 @@ class TestFlatConfig:
             load_config(path)
         assert cli.main(["run", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "quoted,value",
+        [
+            (r'"a\tb"', "a\tb"),
+            (r'"caf\u00e9"', "caf\u00e9"),
+            (r'"\b\f\n\r \" \\ \U0001F600"', '\b\f\n\r " \\ \U0001F600'),
+        ],
+    )
+    def test_string_escapes(self, quoted, value):
+        assert parse_flat_config(f"fixture_dir = {quoted}") == {"fixture_dir": value}
+        assert parse_flat_config(f"exemplar_paths = [{quoted}, {quoted}]") == {
+            "exemplar_paths": [value, value]
+        }
+
+    def test_run_reads_escaped_path(self, tmp_path):
+        fixture_dir = tmp_path / "fix\ttures caf\u00e9"
+        fixture_dir.mkdir()
+        config = make_config(tmp_path, fixture_dir=str(fixture_dir))
+        write_fixtures(config)
+        path = write_config_file(config, tmp_path / "run.toml")
+        assert r"fix\ttures caf\u00e9" in path.read_text("utf-8")
+        assert load_config(path) == config
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert Path(config.output_path).exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            r'fixture_dir = "a\qb"',
+            r'fixture_dir = "\uD800"',
+            r'fixture_dir = "\U00110000"',
+            r'fixture_dir = "\u12"',
+            'exemplar_paths = ["a" "b"]',
+        ],
+    )
+    def test_rejects_unknown_escape_and_missing_comma(self, tmp_path, line):
+        with pytest.raises(ConfigError):
+            parse_flat_config(line)
+        path = tmp_path / "run.toml"
+        path.write_text(line + "\n", "utf-8")
+        assert cli.main(["run", "--config", str(path)]) == 1
+
+    def test_array_may_end_with_comma(self):
+        assert parse_flat_config('exemplar_paths = ["a",]') == {"exemplar_paths": ["a"]}
+
     def test_accepts_int_for_float(self):
         config = RunConfig.from_mapping({"cutoff": 1, "temperature": 0})
         assert (config.cutoff, config.temperature) == (1, 0)

@@ -2,7 +2,14 @@ import random
 from pathlib import Path
 
 import pytest
-from helpers import random_graph, render_random, structurally_equal
+from helpers import (
+    parse_document_reference,
+    parse_graph_reference,
+    random_graph,
+    render_random,
+    structurally_equal,
+    umr_parser_inputs,
+)
 
 from acsa_harness.datasets import load_dataset
 from acsa_harness.runner import ConfigError, RunConfig, prepare_jobs
@@ -17,6 +24,7 @@ from acsa_harness.umr import (
     MissingConceptSlash,
     NoEntriesFound,
     Ref,
+    UmrError,
     UmrGraph,
     UmrParseError,
     UnbalancedParens,
@@ -198,6 +206,60 @@ class TestGeneratorRoundTrip:
                 mutant = text[:i] + text[i + 1 :]
                 with pytest.raises(UmrParseError):
                     parse_graph(mutant)
+
+
+def _outcome(parse, text: str):
+    """The parsed value, or the error's class, message and position."""
+    try:
+        return parse(text)
+    except UmrError as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "col", None)
+
+
+class TestMatchesReferenceParser:
+    """parse_graph and parse_document against the character scanner and
+    lookahead parser they replaced (``tests/helpers.py``)."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_graph_or_same_error(self, seed):
+        rng = random.Random(seed)
+        rejected = 0
+        for is_document, text in umr_parser_inputs(rng, 1500):
+            if is_document:
+                expected = _outcome(parse_document_reference, text)
+                assert _outcome(parse_document, text) == expected, text
+            else:
+                expected = _outcome(parse_graph_reference, text)
+                assert _outcome(parse_graph, text) == expected, text
+            rejected += isinstance(expected, tuple)
+        # both sides of the comparison are exercised
+        assert 500 < rejected < 2500
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "(x / thing :name \"a\\\"b\\q\")",
+            "(x / thing :name \"open",
+            "(x / thing :)",
+            "(x / thing ::ARG0 y)",
+            "(x\n  / thing :mod (y / z) )\n)",
+            "(x / thing :mod (\"s\" / z))",
+            "(x / thing :mod (x / z))",
+            "(x / thing :mod y\n :ARG0 (y2 / z :op1 \"\\\"\"))",
+            "\u00a0(x / thing)",
+            "(x / thing\f:mod y)",
+        ],
+    )
+    def test_edge_cases(self, text):
+        assert _outcome(parse_graph, text) == _outcome(parse_graph_reference, text)
+        document = "::snt One.\n" + text
+        assert _outcome(parse_document, document) == _outcome(parse_document_reference, document)
+
+    def test_unterminated_string_in_document_is_unbalanced(self):
+        text = '::snt One.\n(x / thing)\n::snt Two.\n(y / thing :name "open)\n# alignment:\n'
+        with pytest.raises(UnbalancedParens, match="entry 1: graph block is never closed"):
+            parse_document(text)
 
 
 class TestDocuments:
