@@ -31,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file; flags override it")
+    parser.add_argument("--config", help="TOML config file; flags override it")
     parser.add_argument("--dataset", choices=ds.DATASET_NAMES)
     parser.add_argument("--dataset-path", dest="dataset_path")
     parser.add_argument("--method", choices=runner.METHODS)
@@ -115,13 +115,14 @@ def _cmd_warm_cache(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    inventory = ds.read_inventory(args.inventory) if args.inventory else None
-    split = ds.load_dataset(
-        args.dataset,
-        args.dataset_path,
-        split=args.split,
-        drop_conflict=args.drop_conflict,
-        inventory=inventory,
+    split = runner._load_split(
+        RunConfig(
+            dataset=args.dataset,
+            dataset_path=args.dataset_path,
+            split=args.split,
+            drop_conflict=args.drop_conflict,
+            inventory_path=args.inventory_path,
+        )
     )
     report = runner.score_run(args.results, split)
     if args.json:
@@ -201,7 +202,7 @@ def build_parser() -> _Parser:
     p_score.add_argument("--results", required=True)
     p_score.add_argument("--dataset", required=True, choices=ds.DATASET_NAMES)
     p_score.add_argument("--dataset-path", dest="dataset_path", required=True)
-    p_score.add_argument("--inventory")
+    p_score.add_argument("--inventory", dest="inventory_path", default="")
     p_score.add_argument("--split", choices=("train", "test"), default="test")
     p_score.add_argument("--drop-conflict", dest="drop_conflict", action="store_true")
     p_score.add_argument("--json", action="store_true")

@@ -79,7 +79,6 @@ class Sample:
     id: str
     text: str
     gold: frozenset[Pair]
-    domain: str
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,6 @@ def load_xml(
     little more than the split it returns. Equal pairs and equal gold
     sets are one shared object each.
     """
-    domain = DOMAIN_BY_DATASET.get(name, name.lower())
     samples: list[Sample] = []
     pair_of: dict[tuple[str, Polarity], Pair] = {}
     gold_of: dict[frozenset[Pair], frozenset[Pair]] = {}
@@ -218,7 +216,7 @@ def load_xml(
                             pair = pair_of[category, polarity] = Pair(category, polarity)
                         pairs.add(pair)
                 gold = frozenset(pairs)
-                samples.append(Sample(sid, text.strip(), gold_of.setdefault(gold, gold), domain))
+                samples.append(Sample(sid, text.strip(), gold_of.setdefault(gold, gold)))
     except ET.ParseError as err:
         raise MalformedXml(f"{path}: {err}") from err
     return _finish_split(name, split, samples, inventory, dropped)
@@ -275,7 +273,6 @@ def load_shoes(
     text may hold any other character, U+2028 or a form feed included.
     The file is read one line at a time.
     """
-    domain = DOMAIN_BY_DATASET["Shoes"]
     jsonl = None
     samples: list[Sample] = []
     dropped = 0
@@ -300,7 +297,7 @@ def load_shoes(
                     dropped += 1
                     continue
                 pairs.add(Pair(category, polarity))
-            samples.append(Sample(rid, text.strip(), frozenset(pairs), domain))
+            samples.append(Sample(rid, text.strip(), frozenset(pairs)))
     if jsonl is None:
         raise MalformedRecord(f"{path}: empty file")
     return _finish_split("Shoes", split, samples, inventory, dropped)

@@ -44,9 +44,6 @@ class EmptyExemplars(PromptError):
 class PromptBundle:
     system: str
     user: str
-    method: str  # "baseline" | "umr"
-    exemplar_file_id: str | None
-    template_version: str
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +93,7 @@ def build_baseline_prompt(categories: Sequence[str], review: str) -> PromptBundl
         baseline_template(),
         {"<CATEGORIES>": render_categories(categories), "<REVIEW_TEXT>": review},
     )
-    return PromptBundle(SYSTEM_INSTRUCTION, user, "baseline", None, template_version())
+    return PromptBundle(SYSTEM_INSTRUCTION, user)
 
 
 def build_umr_prompt(
@@ -104,13 +101,11 @@ def build_umr_prompt(
     new_text: str,
     domain: str,
     categories: Sequence[str],
-    exemplar_file_id: str | None = None,
 ) -> PromptBundle:
     """Fill the four-step structured prompt.
 
     ``exemplars`` is the formatted sentence/parse block, normally produced
-    by umr.format_exemplars; ``exemplar_file_id`` records which exemplar
-    file it came from.
+    by umr.format_exemplars.
     """
     if not categories:
         raise EmptyCategories("the category inventory must not be empty")
@@ -129,4 +124,4 @@ def build_umr_prompt(
             "<CATEGORIES>": render_categories(categories),
         },
     )
-    return PromptBundle(SYSTEM_INSTRUCTION, user, "umr", exemplar_file_id, template_version())
+    return PromptBundle(SYSTEM_INSTRUCTION, user)

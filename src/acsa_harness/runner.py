@@ -25,7 +25,6 @@ import hashlib
 import json
 import logging
 import os
-import re
 import time
 from collections.abc import Iterator
 from contextlib import closing
@@ -191,103 +190,27 @@ class RunConfig:
 
 
 def parse_flat_config(text: str) -> dict:
-    """Parse the flat TOML-shaped ``key = value`` config format.
+    """Parse the text of a run config file, which is TOML.
 
-    Values are quoted strings, single-line comma-separated arrays of
-    quoted strings, integers, floats, or true/false. A quoted string
-    decodes TOML's basic-string escapes and refuses any other backslash.
-    ``#`` starts a comment outside quotes.
+    Only the TOML syntax is checked here; ``RunConfig.update`` checks the
+    keys and the value types, so a table or a date is refused there.
     """
-    result: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, rest = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: missing key")
-        if key in result:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        result[key] = _parse_config_value(rest.strip(), lineno)
-    return result
+    import tomllib  # here, so that a run built from flags alone never loads it
 
-
-def _parse_config_value(text: str, lineno: int):
-    if text.startswith('"'):
-        value, remainder = _read_quoted(text, lineno)
-        _expect_only_comment(remainder, lineno)
-        return value
-    if text.startswith("["):
-        items = []
-        rest = text[1:].lstrip()
-        while True:
-            if not rest:
-                raise ConfigError(f"line {lineno}: unterminated array")
-            if rest.startswith("]"):
-                _expect_only_comment(rest[1:], lineno)
-                return items
-            if not rest.startswith('"'):
-                raise ConfigError(f"line {lineno}: arrays may contain only quoted strings")
-            value, rest = _read_quoted(rest, lineno)
-            items.append(value)
-            rest = rest.lstrip()
-            if rest.startswith(","):
-                rest = rest[1:].lstrip()
-            elif rest and not rest.startswith("]"):
-                raise ConfigError(f"line {lineno}: array items must be separated by commas")
-    bare = text.split("#", 1)[0].strip()
-    if not bare:
-        raise ConfigError(f"line {lineno}: missing value")
-    if bare == "true":
-        return True
-    if bare == "false":
-        return False
     try:
-        return int(bare)
-    except ValueError:
-        pass
-    try:
-        return float(bare)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse value {bare!r}") from None
-
-
-# a TOML basic string, and its escapes (TOML 1.0)
-_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
-_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
-_ESCAPE_VALUES = {"b": "\b", "t": "\t", "n": "\n", "f": "\f", "r": "\r", '"': '"', "\\": "\\"}
-
-
-def _read_quoted(text: str, lineno: int) -> tuple[str, str]:
-    """Decode the quoted string that starts ``text``; return it and the rest."""
-    match = _QUOTED.match(text)
-    if match is None:
-        raise ConfigError(f"line {lineno}: unterminated string")
-
-    def decode(escape: re.Match) -> str:
-        if escape[3] is not None:
-            if escape[3] not in _ESCAPE_VALUES:
-                raise ConfigError(f"line {lineno}: unknown escape {escape[0]!r}")
-            return _ESCAPE_VALUES[escape[3]]
-        code = int(escape[1] or escape[2], 16)
-        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-            raise ConfigError(f"line {lineno}: {escape[0]} is not a Unicode scalar value")
-        return chr(code)
-
-    return _ESCAPE.sub(decode, match[1]), text[match.end() :]
-
-
-def _expect_only_comment(rest: str, lineno: int) -> None:
-    rest = rest.strip()
-    if rest and not rest.startswith("#"):
-        raise ConfigError(f"line {lineno}: unexpected trailing text {rest!r}")
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as err:
+        raise ConfigError(str(err)) from None
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    config = RunConfig.from_mapping(parse_flat_config(Path(path).read_text("utf-8")))
+    # decoded from bytes, as tomllib.load does: read_text would turn a bare
+    # CR, which TOML refuses, into a line end
+    text = Path(path).read_bytes().decode("utf-8")
+    try:
+        config = RunConfig.from_mapping(parse_flat_config(text))
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
     if overrides:
         config.update(overrides)
     return config
@@ -344,34 +267,35 @@ def make_backend(config: RunConfig):
 def _jobs(config: RunConfig, split: ds.DatasetSplit) -> Iterator[_Job]:
     """Build each sample's request when it is asked for, in sample order.
 
-    The per-sample exemplar draw is indexed by the sample's position in
-    the split, so concurrent completion order cannot perturb randomness.
+    Faults of the inventory and the exemplars raise at the call, before a
+    run builds a backend or opens a file. A sample's exemplar draw is indexed
+    by its position, so concurrent completion order cannot perturb it.
     """
+    if not split.categories:
+        raise ds.DatasetError(
+            f"{config.dataset_path}: no categories to prompt with; name an inventory_path file"
+        )
     params = DecodeParams(config.temperature, config.top_p, config.max_output_tokens)
-    domain = ds.DOMAIN_BY_DATASET[config.dataset]
     if config.method == "umr":
+        domain = ds.DOMAIN_BY_DATASET[config.dataset]
         docs = [
             truncate_document(load_document(path), EXEMPLAR_KEEP)
             for path in config.exemplar_paths
         ]
         blocks = [format_exemplars(doc) for doc in docs]
         draws = exemplar_draw_indices(config.seed, len(split.samples), len(docs))
-        for i, (sample, draw) in enumerate(zip(split.samples, draws)):
-            doc = docs[draw]
-            bundle = build_umr_prompt(
-                blocks[draw],
-                sample.text,
-                domain,
-                split.categories,
-                exemplar_file_id=doc.source_id,
-            )
+
+        def job(i: int, sample: ds.Sample) -> _Job:
+            bundle = build_umr_prompt(blocks[draws[i]], sample.text, domain, split.categories)
             request = ChatRequest(config.model_id, bundle.system, bundle.user, params)
-            yield _Job(i, sample.id, request, doc.source_id)
+            return _Job(i, sample.id, request, docs[draws[i]].source_id)
     else:
-        for i, sample in enumerate(split.samples):
+        def job(i: int, sample: ds.Sample) -> _Job:
             bundle = build_baseline_prompt(split.categories, sample.text)
             request = ChatRequest(config.model_id, bundle.system, bundle.user, params)
-            yield _Job(i, sample.id, request, None)
+            return _Job(i, sample.id, request, None)
+
+    return (job(i, sample) for i, sample in enumerate(split.samples))
 
 
 def prepare_jobs(config: RunConfig, split: ds.DatasetSplit) -> list[_Job]:
@@ -453,6 +377,9 @@ def run(config: RunConfig) -> RunSummary:
     t0 = time.perf_counter()
     split = _load_split(config)
     inventory = pp.PreparedInventory(split.categories)
+    # the answers read their requests ahead of the records; tee keeps the
+    # jobs in between, and no more
+    jobs, ahead = tee(_jobs(config, split))
     client = ChatClient(
         make_backend(config),
         cache_dir=config.cache_dir or None,
@@ -461,9 +388,6 @@ def run(config: RunConfig) -> RunSummary:
     results_path = Path(config.output_path)
     digest = hashlib.sha256()
     n_cache_hits = n_dropped = n_errors = n_format = 0
-    # the answers read their requests ahead of the records; tee keeps the
-    # jobs in between, and no more
-    jobs, ahead = tee(_jobs(config, split))
     with atomic_file(results_path) as out, closing(
         client.answers(job.request for job in ahead)
     ) as answers:

@@ -50,6 +50,10 @@ __all__ = [
 
 EXEMPLAR_FILE_COUNT = 5
 EXEMPLAR_KEEP = 3
+# Deepest node nesting a graph may have. The parser and the serializer
+# recurse once per level, so a deeper graph would exhaust the interpreter's
+# stack; real UMR graphs nest a few levels (the exemplars nest 3).
+MAX_NESTING = 100
 
 
 class UmrError(Exception):
@@ -243,7 +247,9 @@ def parse_graph(text: str) -> UmrGraph:
             raise UnbalancedParens(message, *at(previous))
         return token
 
-    def node(opener: tuple[str, str, int]) -> str:
+    def node(opener: tuple[str, str, int], depth: int) -> str:
+        if depth > MAX_NESTING:
+            raise UmrParseError(f"graph nests deeper than {MAX_NESTING} levels", *at(opener))
         var_tok = take(opener, "unexpected end of input after '('")
         if var_tok[0] != "atom":
             raise UmrParseError(
@@ -273,7 +279,7 @@ def parse_graph(text: str) -> UmrGraph:
             if value[0] == "(":
                 slot = len(raw_edges)
                 raw_edges.append(None)
-                raw_edges[slot] = (var, role, Ref(node(value)))
+                raw_edges[slot] = (var, role, Ref(node(value, depth + 1)))
             elif value[0] == "string":
                 raw_edges.append((var, role, Const(value[1], "string")))
             elif value[0] == "atom":
@@ -289,7 +295,7 @@ def parse_graph(text: str) -> UmrGraph:
     first = next(stream)  # the text is not blank, so it holds a token
     if first[0] != "(":
         raise UnbalancedParens("a graph must start with '('", *at(first))
-    root = node(first)
+    root = node(first, 1)
     trailing = next(stream, None)
     if trailing is not None:
         raise UnbalancedParens("unexpected text after the root node closes", *at(trailing))
@@ -323,7 +329,9 @@ def serialize_graph(graph: UmrGraph, indent: str = "  ") -> str:
     """Render the canonical indented Penman form of a valid graph.
 
     Each node is introduced at its first occurrence in a depth-first walk
-    from the root; later occurrences are emitted as bare variables.
+    from the root; later occurrences are emitted as bare variables. A graph
+    whose canonical form would nest deeper than MAX_NESTING, which a chain
+    of references can cause in a shallow graph, raises UmrError.
     """
     graph.validate()
     outgoing: dict[str, list[Edge]] = {var: [] for var in graph.nodes}
@@ -332,6 +340,8 @@ def serialize_graph(graph: UmrGraph, indent: str = "  ") -> str:
     emitted: set[str] = set()
 
     def render_node(var: str, depth: int) -> str:
+        if depth >= MAX_NESTING:
+            raise UmrError(f"the graph's canonical form nests deeper than {MAX_NESTING} levels")
         emitted.add(var)
         parts = [f"({var} / {graph.nodes[var]}"]
         pad = "\n" + indent * (depth + 1)

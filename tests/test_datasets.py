@@ -92,7 +92,6 @@ class TestSemeval:
             "RESTAURANT#PRICES",
             "SERVICE#GENERAL",
         )
-        assert all(s.domain == "restaurant" for s in split.samples)
 
     def test_deterministic(self, tmp_path):
         path = tmp_path / "rest.xml"
@@ -159,7 +158,6 @@ class TestMams:
             {Pair("staff", Polarity.POSITIVE), Pair("food", Polarity.NEGATIVE)}
         )
         assert split.categories == ("food", "menu", "place", "staff")
-        assert split.samples[0].domain == "restaurant"
 
 
 @pytest.mark.parametrize(
@@ -185,7 +183,6 @@ def reference_load_xml(
         tree = ET.parse(path)
     except ET.ParseError as err:
         raise MalformedXml(f"{path}: {err}") from err
-    domain = ds.DOMAIN_BY_DATASET.get(name, name.lower())
     samples = []
     dropped = 0
     for i, sentence in enumerate(tree.getroot().iter("sentence")):
@@ -210,7 +207,7 @@ def reference_load_xml(
                     dropped += 1
                     continue
                 pairs.add(Pair(category, polarity))
-        samples.append(Sample(sid, text.strip(), frozenset(pairs), domain))
+        samples.append(Sample(sid, text.strip(), frozenset(pairs)))
     return ds._finish_split(name, split, samples, inventory, dropped)
 
 
@@ -397,7 +394,6 @@ class TestShoes:
             {Pair("comfort", Polarity.POSITIVE), Pair("laces", Polarity.NEGATIVE)}
         )
         assert split.samples[2].gold == frozenset()
-        assert split.samples[0].domain == "shoes"
 
     def test_tsv(self, tmp_path):
         path = tmp_path / "shoes.tsv"

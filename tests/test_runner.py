@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -245,11 +246,14 @@ def assert_nothing_written(config: RunConfig) -> None:
     assert not config.manifest_path().exists()
 
 
-def write_config_file(config: RunConfig, path: Path) -> Path:
-    """``config`` in the flat config format, every field spelt out; each
-    of its values is written as JSON writes it."""
+def write_config_file(config: RunConfig, path: Path, **spelt: str) -> Path:
+    """``config`` as a TOML file, every field spelt out; each value is
+    written as JSON writes it, or as ``spelt`` gives its key."""
     path.write_text(
-        "".join(f"{key} = {json.dumps(getattr(config, key))}\n" for key in RunConfig.field_names()),
+        "".join(
+            f"{key} = {spelt[key] if key in spelt else json.dumps(getattr(config, key))}\n"
+            for key in RunConfig.field_names()
+        ),
         "utf-8",
     )
     return path
@@ -307,20 +311,31 @@ class TestFlatConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_mapping({"no_such_key": 1})
 
-    def test_rejects_bad_syntax(self):
+    def test_rejects_bad_syntax(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_flat_config("dataset Restaurant16")
         with pytest.raises(ConfigError):
             parse_flat_config('x = "unterminated')
-        with pytest.raises(ConfigError):
-            parse_flat_config("x = [1, 2]")
+        # valid TOML, refused by RunConfig.update: an unknown key, and an
+        # array that is not of strings
+        path = tmp_path / "run.toml"
+        for text in ("x = [1, 2]", "exemplar_paths = [1, 2]"):
+            path.write_text(text + "\n", "utf-8")
+            with pytest.raises(ConfigError):
+                load_config(path)
+            assert cli.main(["run", "--config", str(path)]) == 1
 
     @pytest.mark.parametrize(
         "text", ['seed = 3\nseed = 4\n', 'dataset = "MAMS"\ndataset = "MAMS"\n']
     )
-    def test_rejects_duplicate_key(self, text):
-        with pytest.raises(ConfigError, match="line 2: duplicate key"):
+    def test_rejects_duplicate_key(self, tmp_path, text):
+        with pytest.raises(ConfigError, match="line 2"):
             parse_flat_config(text)
+        path = tmp_path / "run.toml"
+        path.write_text(text, "utf-8")
+        where = rf"^{re.escape(str(path))}: .*\(at line 2, column \d+\)$"
+        with pytest.raises(ConfigError, match=where):
+            load_config(path)
 
     @pytest.mark.parametrize(
         "line",
@@ -334,6 +349,12 @@ class TestFlatConfig:
             "cutoff = false",
             "dataset = 3",
             'exemplar_paths = "a.umr"',
+            # TOML that no field takes: a table, a dotted key, an inline
+            # table, a date
+            '[paths]\nfixture_dir = "x"',
+            'paths.fixture_dir = "x"',
+            'fixture_dir = {path = "x"}',
+            "seed = 2026-10-19",
         ],
     )
     def test_rejects_mistyped_value(self, tmp_path, line):
@@ -387,6 +408,63 @@ class TestFlatConfig:
 
     def test_array_may_end_with_comma(self):
         assert parse_flat_config('exemplar_paths = ["a",]') == {"exemplar_paths": ["a"]}
+
+    @pytest.mark.parametrize(
+        "key,spelt",
+        [
+            ("base_url", '"http://x\u2028y\u2029z\x85"'),  # raw U+2028, U+2029, U+0085
+            ("fixture_dir", "'{}'"),  # a literal string
+            ("exemplar_paths", "[\n  '{}',\n  '{}',\n  '{}',\n  '{}',\n  '{}',\n]"),
+            ("seed", "0xb"),
+            ("concurrency", "0o2"),
+            ("max_output_tokens", "0b1000000"),
+        ],
+    )
+    def test_accepts_toml_forms(self, tmp_path, key, spelt):
+        config = make_config(
+            tmp_path,
+            method="umr",
+            base_url="http://x\u2028y\u2029z\x85",
+            concurrency=2,
+            max_output_tokens=64,
+        )
+        write_fixtures(config)
+        value = getattr(config, key)
+        spelt = spelt.format(*value) if isinstance(value, tuple) else spelt.format(value)
+        path = write_config_file(config, tmp_path / "run.toml", **{key: spelt})
+        assert load_config(path) == config
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert Path(config.output_path).exists()
+
+    @pytest.mark.parametrize(
+        "key,spelt",
+        [
+            ("seed", "007"),
+            ("cutoff", ".5"),
+            ("cutoff", "5."),
+            ("temperature", "Infinity"),
+            ("cutoff", "NaN"),
+            ("fixture_dir", '"a\fb"'),  # a raw form feed
+            ("fixture_dir", '"a\x01b"'),  # a raw control character
+            ("seed", "11\r# a bare CR as the line end"),
+        ],
+    )
+    def test_refuses_what_toml_refuses(self, tmp_path, key, spelt):
+        config = make_config(tmp_path)
+        write_fixtures(config)
+        path = write_config_file(config, tmp_path / "run.toml")
+        assert cli.main(["run", "--config", str(path)]) == 0
+        path = write_config_file(config, tmp_path / "run.toml", **{key: spelt})
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: "):
+            load_config(path)
+        assert cli.main(["run", "--config", str(path)]) == 1
+
+    def test_readme_example_lists_every_key(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        block = readme.split("```toml\n", 1)[1].split("```", 1)[0]
+        mapping = parse_flat_config(block)
+        RunConfig.from_mapping(mapping)
+        assert sorted(mapping) == sorted(RunConfig.field_names())
 
     def test_accepts_int_for_float(self):
         config = RunConfig.from_mapping({"cutoff": 1, "temperature": 0})
@@ -971,6 +1049,44 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["tp"] == 2
+        inventory = tmp_path / "inventory.txt"
+        inventory.write_text("FOOD#QUALITY\nSERVICE#GENERAL\nDRINKS#PRICES\nAMBIENCE\n", "utf-8")
+        argv = ["score", "--results", config.output_path, "--dataset", "Restaurant16"]
+        argv += ["--dataset-path", config.dataset_path, "--inventory", str(inventory), "--json"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == payload
+        inventory.write_text("FOOD#QUALITY\n", "utf-8")  # gold names categories beyond it
+        assert cli.main(argv) == 2
+
+    @pytest.mark.parametrize("method", ["baseline", "umr"])
+    def test_split_without_categories_is_a_data_error(
+        self, tmp_path, monkeypatch, capsys, method
+    ):
+        dataset_path = tmp_path / "laptop16_test.xml"
+        dataset_path.write_text(
+            '<Reviews><Review rid="1"><sentences><sentence id="l:0">'
+            "<text>It boots.</text></sentence></sentences></Review></Reviews>",
+            "utf-8",
+        )
+        cache_dir = tmp_path / "cache"
+        config = make_config(
+            tmp_path,
+            method,
+            dataset="Laptop16",
+            dataset_path=str(dataset_path),
+            cache_dir=str(cache_dir),
+            output_path=str(tmp_path / "runs" / "laptop16.jsonl"),
+        )
+        answered = []
+        monkeypatch.setattr(ChatClient, "chat", lambda self, request: answered.append(request))
+        path = write_config_file(config, tmp_path / "run.toml")
+        for command in ("run", "warm-cache"):
+            assert cli.main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and "inventory_path" in err, err
+            assert "Traceback" not in err
+        assert answered == []
+        assert not cache_dir.exists() and not (tmp_path / "runs").exists()
 
     def test_run_exit_code_on_excessive_transport_failures(self, tmp_path):
         config = make_config(tmp_path)
@@ -1059,13 +1175,17 @@ _RUN_PATH_CHILD = """
 import json, sys
 from acsa_harness import cli
 code = cli.main(sys.argv[1:])
-loaded = [m for m in ("numpy", "requests", "urllib3", "charset_normalizer") if m in sys.modules]
+loaded = [
+    m for m in ("numpy", "requests", "urllib3", "charset_normalizer", "tomllib")
+    if m in sys.modules
+]
 print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
 def test_run_path_imports_only_stdlib(tmp_path):
-    """A replay run loads neither numpy nor requests and its stack."""
+    """A replay run loads neither numpy nor requests and its stack, and a
+    run given by flags alone does not load the config file reader."""
     meta = json.loads((E2E / "meta.json").read_text("utf-8"))
     root = E2E.parent.parent.parent
     argv = [

@@ -11,10 +11,12 @@ from helpers import (
     umr_parser_inputs,
 )
 
+from acsa_harness import cli
 from acsa_harness.datasets import load_dataset
 from acsa_harness.runner import ConfigError, RunConfig, prepare_jobs
 from acsa_harness.umr import (
     EXEMPLAR_KEEP,
+    MAX_NESTING,
     Const,
     DanglingReference,
     DocumentFormatError,
@@ -260,6 +262,54 @@ class TestMatchesReferenceParser:
         text = '::snt One.\n(x / thing)\n::snt Two.\n(y / thing :name "open)\n# alignment:\n'
         with pytest.raises(UnbalancedParens, match="entry 1: graph block is never closed"):
             parse_document(text)
+
+
+def _nested(depth: int) -> str:
+    """A chain of ``depth`` nodes, each on its own line, each but the last
+    holding the next; node k's ``(`` is at line k + 1, column 1."""
+    lines = [f"(v{k} / c :op1" for k in range(depth - 1)] + [f"(v{depth - 1} / c)"]
+    return "\n".join(lines) + ")" * (depth - 1)
+
+
+class TestNestingLimit:
+    def test_limit_is_accepted_and_every_accepted_depth_round_trips(self):
+        for depth in range(1, MAX_NESTING + 1):
+            graph = parse_graph(_nested(depth))
+            assert len(graph.nodes) == depth
+            assert parse_graph(serialize_graph(graph)) == graph
+        document = parse_document("::snt Deep.\n" + _nested(MAX_NESTING))
+        assert parse_document(format_exemplars(document)) == document
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1200])
+    def test_deeper_is_refused_at_the_first_paren_past_the_limit(self, depth):
+        with pytest.raises(UmrParseError, match="nests deeper") as info:
+            parse_graph(_nested(depth))
+        assert type(info.value) is UmrParseError
+        assert (info.value.line, info.value.col) == (MAX_NESTING + 1, 1)
+        with pytest.raises(UmrParseError, match=r"^entry 1: graph nests deeper") as info:
+            parse_document("::snt Flat.\n(x / thing)\n::snt Deep.\n" + _nested(depth))
+        assert (info.value.line, info.value.col) == (MAX_NESTING + 1, 1)
+
+    def test_parse_umr_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.txt"
+        path.write_text(_nested(1200), "utf-8")
+        assert cli.main(["parse-umr", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {MAX_NESTING + 1}, column 1" in err and "Traceback" not in err
+
+    def test_reference_chain_too_deep_to_serialize(self, tmp_path, capsys):
+        # the graph nests 2 deep, but each node refers to the next one, so
+        # its canonical form would nest one level per node
+        n = MAX_NESTING
+        nodes = " ".join(f":op (n{k} / c :r n{k + 1})" for k in range(n))
+        text = f"(r / x :r n0 {nodes} :op (n{n} / c))"
+        graph = parse_graph(text)
+        with pytest.raises(UmrError, match="canonical form nests deeper"):
+            serialize_graph(graph)
+        path = tmp_path / "chain.txt"
+        path.write_text(text, "utf-8")
+        assert cli.main(["parse-umr", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestDocuments:
