@@ -1,4 +1,5 @@
-"""Command-line interface: run, score, report, anova, parse-umr, warm-cache.
+"""Command-line interface: run, grid, score, report, anova, parse-umr,
+warm-cache.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 excessive
 transport failure rate.
@@ -7,6 +8,7 @@ transport failure rate.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
@@ -14,7 +16,7 @@ from pathlib import Path
 
 from . import datasets as ds
 from . import metrics, runner, stats, umr
-from .llm import AuthError, ChatClient, LlmError
+from .llm import AuthError, ChatClient, LlmError, atomic_file
 from .runner import ConfigError, RunConfig, RunDataError, load_config
 
 EXIT_OK = 0
@@ -77,23 +79,55 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_mapping(overrides)
 
 
+def _counts(summary: runner.RunSummary) -> str:
+    return (
+        f"samples: {summary.n_samples}  cache hits: {summary.n_cache_hits}  "
+        f"format failures: {summary.n_format_failures}  "
+        f"transport errors: {summary.n_transport_errors}"
+    )
+
+
+def _too_many_transport_errors(summary: runner.RunSummary, where: str = "") -> bool:
+    if summary.transport_error_rate <= runner.TRANSPORT_FAILURE_LIMIT:
+        return False
+    print(
+        f"error: {where}transport failure rate {summary.transport_error_rate:.1%} exceeds "
+        f"{runner.TRANSPORT_FAILURE_LIMIT:.0%}",
+        file=sys.stderr,
+    )
+    return True
+
+
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
     summary = runner.run(config)
     print(f"results:  {summary.results_path}")
     print(f"manifest: {summary.manifest_path}")
-    print(
-        f"samples: {summary.n_samples}  cache hits: {summary.n_cache_hits}  "
-        f"format failures: {summary.n_format_failures}  "
-        f"transport errors: {summary.n_transport_errors}"
-    )
-    if summary.transport_error_rate > runner.TRANSPORT_FAILURE_LIMIT:
-        print(
-            f"error: transport failure rate {summary.transport_error_rate:.1%} exceeds "
-            f"{runner.TRANSPORT_FAILURE_LIMIT:.0%}",
-            file=sys.stderr,
-        )
-        return EXIT_TRANSPORT
+    print(_counts(summary))
+    return EXIT_TRANSPORT if _too_many_transport_errors(summary) else EXIT_OK
+
+
+def _cmd_grid(args) -> int:
+    """Run and score every cell of a grid file in file order, then write
+    the scores file. The first cell over the transport failure limit, or
+    the first fault, ends the grid; the files of the cells before it stay
+    complete and no scores file is written."""
+    rows = []
+    for name, config in runner.load_grid(args.config):
+        summary = runner.run(config)
+        where = f"cells.{name}: "
+        if _too_many_transport_errors(summary, where):
+            print(f"{where}{_counts(summary)}")
+            return EXIT_TRANSPORT
+        report = runner.score_run(summary.results_path, runner._load_split(config))
+        score = f"{report.micro_f1 * 100.0:.2f}"
+        print(f"{where}{_counts(summary)}  micro_f1: {score}%  results: {summary.results_path}")
+        rows.append((config.method, config.model_id, config.dataset, score))
+    with atomic_file(Path(args.scores)) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("method", "model", "dataset", "score"))
+        writer.writerows(rows)
+    print(f"scores: {args.scores}")
     return EXIT_OK
 
 
@@ -193,6 +227,11 @@ def build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="execute one experiment run")
     _add_config_arguments(p_run)
     p_run.set_defaults(func=_cmd_run)
+
+    p_grid = sub.add_parser("grid", help="run and score every cell of a grid file")
+    p_grid.add_argument("--config", required=True, help="TOML grid file of [cells.NAME] tables")
+    p_grid.add_argument("--scores", required=True, help="CSV of method,model,dataset,score to write")
+    p_grid.set_defaults(func=_cmd_grid)
 
     p_warm = sub.add_parser("warm-cache", help="prefetch responses for a run config")
     _add_config_arguments(p_warm)

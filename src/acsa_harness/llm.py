@@ -96,8 +96,11 @@ class ChatRequest:
         }
 
     def canonical_json(self) -> str:
+        """Raises ValueError for an infinite or NaN decode parameter, which
+        JSON cannot hold."""
         return json.dumps(
-            self.as_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=True
+            self.as_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+            allow_nan=False,
         )
 
     @property

@@ -17,19 +17,27 @@ one line at a time and keeps one pair set per record.
 
 Answers come from ``ChatClient.answers`` in sample order; extraction,
 mapping and record building all run on the calling thread.
+
+A process prepares each exemplar file and each category inventory once:
+the formatted exemplar block is kept under the file's name and content,
+the prepared inventory under the split's category tuple, so the cells of
+one ``acsa grid`` share them (``load_grid`` reads the grid file).
 """
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
+from functools import lru_cache
 from itertools import tee
 from pathlib import Path
 
@@ -51,7 +59,7 @@ from .umr import (
     EXEMPLAR_KEEP,
     exemplar_draw_indices,
     format_exemplars,
-    load_document,
+    parse_document,
     truncate_document,
 )
 
@@ -63,6 +71,11 @@ TRANSPORT_FAILURE_LIMIT = 0.10
 
 METHODS = ("baseline", "umr")
 BACKENDS = ("http", "replay")
+
+# Most prepared exemplar files and category inventories one process keeps.
+# The paper's grid uses five exemplar files and one inventory per dataset.
+EXEMPLAR_MEMO_SIZE = 32
+INVENTORY_MEMO_SIZE = 16
 
 
 class ConfigError(Exception):
@@ -171,8 +184,10 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_output_tokens < 1:
             raise ConfigError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
-        if not self.temperature >= 0.0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
+            # an infinite temperature would be hashed and written as the
+            # non-JSON token Infinity
+            raise ConfigError(f"temperature must be a finite number >= 0, got {self.temperature}")
         if not 0.0 < self.top_p <= 1.0:
             raise ConfigError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.strict_greedy and (self.temperature != 0.0 or self.top_p != 1.0):
@@ -203,17 +218,69 @@ def parse_flat_config(text: str) -> dict:
         raise ConfigError(str(err)) from None
 
 
-def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+def _read_config_file(path: str | Path) -> dict:
+    """The TOML table of a config or grid file, which must be UTF-8
+    without a byte-order mark."""
     # decoded from bytes, as tomllib.load does: read_text would turn a bare
     # CR, which TOML refuses, into a line end
-    text = Path(path).read_bytes().decode("utf-8")
+    data = Path(path).read_bytes()
+    if data.startswith(codecs.BOM_UTF8):
+        raise ConfigError("the file starts with a byte-order mark; save it as UTF-8 without one")
     try:
-        config = RunConfig.from_mapping(parse_flat_config(text))
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"not UTF-8: {err.reason} at byte offset {err.start}") from None
+    return parse_flat_config(text)
+
+
+def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+    try:
+        config = RunConfig.from_mapping(_read_config_file(path))
     except ConfigError as err:
         raise ConfigError(f"{path}: {err}") from None
     if overrides:
         config.update(overrides)
     return config
+
+
+def load_grid(path: str | Path) -> list[tuple[str, RunConfig]]:
+    """Every cell of a grid file as ``(name, config)``, in file order.
+
+    Top-level keys are shared by every cell; each ``[cells.NAME]`` table
+    gives one cell's keys, which win over the shared ones. Every cell is
+    built and validated here, so a fault in any of them raises ConfigError,
+    naming the file and the cell, before the first cell runs. Two cells may
+    not write the same file, nor share method, model_id and dataset, which
+    would give the scores file two rows for one cell.
+    """
+    try:
+        shared = _read_config_file(path)
+        cells = shared.pop("cells", None)
+        if not isinstance(cells, dict) or not cells:
+            raise ConfigError("a grid needs at least one [cells.NAME] table")
+        RunConfig.from_mapping(shared)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
+    grid = []
+    writers: dict[Path, str] = {}
+    names: dict[tuple[str, str, str], str] = {}
+    for name, keys in cells.items():
+        try:
+            if not isinstance(keys, dict):
+                raise ConfigError(f"must be a table, got {type(keys).__name__} {keys!r}")
+            config = RunConfig.from_mapping({**shared, **keys})
+            config.validate()
+            for target in (Path(config.output_path), config.manifest_path()):
+                other = writers.setdefault(target.resolve(), name)
+                if other != name:
+                    raise ConfigError(f"{target} is also written by cells.{other}")
+            other = names.setdefault((config.method, config.model_id, config.dataset), name)
+            if other != name:
+                raise ConfigError(f"cells.{other} has the same method, model_id and dataset")
+        except ConfigError as err:
+            raise ConfigError(f"{path}: cells.{name}: {err}") from None
+        grid.append((name, config))
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +331,21 @@ def make_backend(config: RunConfig):
     )
 
 
+@lru_cache(maxsize=EXEMPLAR_MEMO_SIZE)
+def _exemplar(name: str, text: str) -> tuple[str, str]:
+    """``(source_id, formatted block)`` of the exemplar file ``name`` whose
+    content is ``text``. Keyed by content, so an edited file is prepared
+    again; a parse error is raised on every call, never kept."""
+    doc = truncate_document(parse_document(text, source_id=name), EXEMPLAR_KEEP)
+    return doc.source_id, format_exemplars(doc)
+
+
+@lru_cache(maxsize=INVENTORY_MEMO_SIZE)
+def _prepared_inventory(categories: tuple[str, ...]) -> pp.PreparedInventory:
+    """One read-only PreparedInventory per distinct category tuple."""
+    return pp.PreparedInventory(categories)
+
+
 def _jobs(config: RunConfig, split: ds.DatasetSplit) -> Iterator[_Job]:
     """Build each sample's request when it is asked for, in sample order.
 
@@ -278,17 +360,17 @@ def _jobs(config: RunConfig, split: ds.DatasetSplit) -> Iterator[_Job]:
     params = DecodeParams(config.temperature, config.top_p, config.max_output_tokens)
     if config.method == "umr":
         domain = ds.DOMAIN_BY_DATASET[config.dataset]
-        docs = [
-            truncate_document(load_document(path), EXEMPLAR_KEEP)
-            for path in config.exemplar_paths
+        exemplars = [
+            _exemplar(path.name, path.read_text("utf-8"))
+            for path in map(Path, config.exemplar_paths)
         ]
-        blocks = [format_exemplars(doc) for doc in docs]
-        draws = exemplar_draw_indices(config.seed, len(split.samples), len(docs))
+        draws = exemplar_draw_indices(config.seed, len(split.samples), len(exemplars))
 
         def job(i: int, sample: ds.Sample) -> _Job:
-            bundle = build_umr_prompt(blocks[draws[i]], sample.text, domain, split.categories)
+            source_id, block = exemplars[draws[i]]
+            bundle = build_umr_prompt(block, sample.text, domain, split.categories)
             request = ChatRequest(config.model_id, bundle.system, bundle.user, params)
-            return _Job(i, sample.id, request, docs[draws[i]].source_id)
+            return _Job(i, sample.id, request, source_id)
     else:
         def job(i: int, sample: ds.Sample) -> _Job:
             bundle = build_baseline_prompt(split.categories, sample.text)
@@ -376,7 +458,7 @@ def run(config: RunConfig) -> RunSummary:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     split = _load_split(config)
-    inventory = pp.PreparedInventory(split.categories)
+    inventory = _prepared_inventory(split.categories)
     # the answers read their requests ahead of the records; tee keeps the
     # jobs in between, and no more
     jobs, ahead = tee(_jobs(config, split))

@@ -20,7 +20,6 @@ import random
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Union
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "UnterminatedString",
     "exemplar_draw_indices",
     "format_exemplars",
-    "load_document",
     "parse_document",
     "parse_graph",
     "serialize_graph",
@@ -426,11 +424,6 @@ def parse_document(text: str, source_id: str = "<text>") -> UmrDocument:
             raise type(err)(f"entry {k}: {err.raw_message}", err.line, err.col) from err
         entries.append((sentence, graph))
     return UmrDocument(tuple(entries), source_id)
-
-
-def load_document(path: str | Path) -> UmrDocument:
-    path = Path(path)
-    return parse_document(path.read_text("utf-8"), source_id=path.name)
 
 
 def truncate_document(doc: UmrDocument, n: int) -> UmrDocument:

@@ -1,7 +1,9 @@
-"""Shared test utilities: random graph generation and independent oracles.
+"""Shared test utilities: random graph generation, independent oracles,
+and the files of the committed replay grid.
 
-Everything here is deliberately written against the raw definitions (no
-calls into the implementation paths it checks): the gestalt reference
+Apart from ``load_document`` and ``e2e_grid_toml`` at the end, a loader
+and a file builder, everything here is deliberately written against the
+raw definitions (no calls into the implementation paths it checks): the gestalt reference
 recurses on longest matching blocks directly, the F tail integrates the
 density by adaptive quadrature, the graph renderer emits Penman text
 straight from a generated structure, and the list and UMR references
@@ -11,10 +13,12 @@ scan their text character by character.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 from acsa_harness.umr import (
     Const,
@@ -31,6 +35,7 @@ from acsa_harness.umr import (
     UmrParseError,
     UnbalancedParens,
     UnterminatedString,
+    parse_document,
 )
 
 CONCEPTS = (
@@ -685,3 +690,40 @@ def parse_document_reference(text: str, source_id: str = "<text>") -> UmrDocumen
             raise type(err)(f"entry {k}: {err.raw_message}", err.line, err.col) from err
         entries.append((sentence, graph))
     return UmrDocument(tuple(entries), source_id)
+
+
+def load_document(path) -> UmrDocument:
+    """Parse a UMR corpus file, with its file name as the source id."""
+    path = Path(path)
+    return parse_document(path.read_text("utf-8"), source_id=path.name)
+
+
+E2E = Path(__file__).parent / "fixtures" / "e2e"
+
+
+def e2e_grid_toml(out_dir: Path, methods=("baseline", "umr")) -> str:
+    """A grid file of the committed replay grid's cells, one per dataset
+    and method in that order, that writes under ``out_dir``. Model,
+    backend, fixtures, seed and cache directory are shared keys."""
+    meta = json.loads((E2E / "meta.json").read_text("utf-8"))
+    exemplars = [str(E2E.parent.parent.parent / p) for p in meta["exemplars"]]
+    lines = [
+        f"model_id = {json.dumps(meta['model_id'])}",
+        'backend = "replay"',
+        f"fixture_dir = {json.dumps(str(E2E / meta['replay_dir']))}",
+        f"seed = {meta['seed']}",
+        f"cache_dir = {json.dumps(str(out_dir / 'cache'))}",
+    ]
+    for dataset, path in meta["datasets"].items():
+        for method in methods:
+            lines += [
+                "",
+                f"[cells.{dataset}_{method}]",
+                f"dataset = {json.dumps(dataset)}",
+                f"dataset_path = {json.dumps(str(E2E / path))}",
+                f"method = {json.dumps(method)}",
+                f"output_path = {json.dumps(str(out_dir / f'{dataset}_{method}.jsonl'))}",
+            ]
+            if method == "umr":
+                lines.append(f"exemplar_paths = {json.dumps(exemplars)}")
+    return "\n".join(lines) + "\n"

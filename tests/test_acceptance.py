@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 from helpers import (
+    e2e_grid_toml,
     f_upper_tail_quadrature,
     gestalt_reference,
     random_graph,
@@ -23,9 +24,9 @@ from helpers import (
 
 from acsa_harness import cli
 from acsa_harness.datasets import load_dataset, verify_official_counts
-from acsa_harness.metrics import aggregate, read_score_rows, score
+from acsa_harness.metrics import aggregate, cells_from_rows, read_score_rows, score
 from acsa_harness.postprocess import NoListFound, RawPair, extract_pair_list, similarity
-from acsa_harness.runner import RunConfig, run, score_run
+from acsa_harness.runner import RunConfig, load_grid, run, score_run
 from acsa_harness.stats import FactorialDesign, anova, f_upper_tail
 from acsa_harness.umr import (
     UmrParseError,
@@ -432,44 +433,58 @@ def test_acceptance_8_end_to_end_replay(tmp_path):
     }
     cells = {}
     draws = exemplar_draw_indices(meta["seed"], 10, 5)
-    for invocation in (1, 2):
-        out_dir = tmp_path / f"run{invocation}"
-        out_dir.mkdir()
-        for dataset in meta["datasets"]:
-            for method in ("baseline", "umr"):
-                config = _e2e_config(meta, dataset, method, out_dir)
-                summary = run(config)
-                assert summary.n_samples == 10
-                assert summary.n_transport_errors == 0
-                if method == "baseline":
-                    assert summary.n_format_failures == 1  # the sample-7 refusal
-                    assert summary.n_dropped_pairs == 0
-                else:
-                    assert summary.n_format_failures == 0
-                    assert summary.n_dropped_pairs == 1  # the unmappable junk pair
-                pin = GRID_DIGESTS[(dataset, method)]
-                manifest = json.loads(Path(summary.manifest_path).read_text("utf-8"))
-                assert manifest["results_sha256"] == pin, f"{dataset}/{method} manifest digest"
-                on_disk = hashlib.sha256(Path(config.output_path).read_bytes()).hexdigest()
-                assert on_disk == pin, f"{dataset}/{method} results file digest"
-                split = load_dataset(dataset, config.dataset_path)
-                report = score_run(config.output_path, split)
-                assert (report.tp, report.fp, report.fn) == expected_counts[(dataset, method)]
-                if invocation == 1:
-                    cells[(dataset, method, meta["model_id"])] = round(report.micro_f1 * 100, 2)
-                if method == "umr":
-                    records = [
-                        json.loads(line)
-                        for line in Path(config.output_path).read_text("utf-8").splitlines()
-                    ]
-                    assert [r["exemplar_file_id"] for r in records] == [
-                        f"ex{d}.umr" for d in draws
-                    ]
-    for dataset in meta["datasets"]:
-        for method in ("baseline", "umr"):
-            first = (tmp_path / "run1" / f"{dataset}_{method}.jsonl").read_bytes()
-            second = (tmp_path / "run2" / f"{dataset}_{method}.jsonl").read_bytes()
-            assert first == second, f"{dataset}/{method} results differ between invocations"
+    keys = [(dataset, method) for dataset in meta["datasets"] for method in ("baseline", "umr")]
+    # invocation 1 calls runner.run per cell, invocation 2 is one `acsa grid`
+    run1, run2 = tmp_path / "run1", tmp_path / "run2"
+    run1.mkdir()
+    summaries = {key: run(_e2e_config(meta, *key, run1)) for key in keys}
+    grid = tmp_path / "grid.toml"
+    grid.write_text(e2e_grid_toml(run2), "utf-8")
+    assert [config for _, config in load_grid(grid)] == [
+        _e2e_config(meta, *key, run2) for key in keys
+    ]
+    scores = tmp_path / "scores.csv"
+    assert cli.main(["grid", "--config", str(grid), "--scores", str(scores)]) == 0
+    for out_dir in (run1, run2):
+        for dataset, method in keys:
+            config = _e2e_config(meta, dataset, method, out_dir)
+            manifest = json.loads(config.manifest_path().read_text("utf-8"))
+            counts = manifest["counts"]
+            assert counts["samples"] == 10
+            assert counts["transport_errors"] == 0
+            if method == "baseline":
+                assert counts["format_failures"] == 1  # the sample-7 refusal
+                assert counts["dropped_pairs"] == 0
+            else:
+                assert counts["format_failures"] == 0
+                assert counts["dropped_pairs"] == 1  # the unmappable junk pair
+            if out_dir == run1:
+                summary = summaries[(dataset, method)]
+                assert (summary.n_samples, summary.n_transport_errors) == (10, 0)
+                assert summary.n_format_failures == counts["format_failures"]
+                assert summary.n_dropped_pairs == counts["dropped_pairs"]
+            pin = GRID_DIGESTS[(dataset, method)]
+            assert manifest["results_sha256"] == pin, f"{dataset}/{method} manifest digest"
+            on_disk = hashlib.sha256(Path(config.output_path).read_bytes()).hexdigest()
+            assert on_disk == pin, f"{dataset}/{method} results file digest"
+            split = load_dataset(dataset, config.dataset_path)
+            report = score_run(config.output_path, split)
+            assert (report.tp, report.fp, report.fn) == expected_counts[(dataset, method)]
+            if out_dir == run1:
+                cells[(dataset, method, meta["model_id"])] = round(report.micro_f1 * 100, 2)
+            if method == "umr":
+                records = [
+                    json.loads(line)
+                    for line in Path(config.output_path).read_text("utf-8").splitlines()
+                ]
+                assert [r["exemplar_file_id"] for r in records] == [
+                    f"ex{d}.umr" for d in draws
+                ]
+    for dataset, method in keys:
+        first = (run1 / f"{dataset}_{method}.jsonl").read_bytes()
+        second = (run2 / f"{dataset}_{method}.jsonl").read_bytes()
+        assert first == second, f"{dataset}/{method} results differ between invocations"
+    assert cells_from_rows(read_score_rows(scores)) == cells
 
     agg = aggregate(cells)
     from acsa_harness.metrics import render_detailed_table, render_summary_table
@@ -488,5 +503,5 @@ def test_acceptance_8_end_to_end_replay(tmp_path):
     detailed_text = render_detailed_table(agg)
     assert meta["model_id"] in summary_text and "Shoes" in detailed_text
     elapsed = budget.check()
-    print(f"\nACCEPTANCE 8 PASS - 8 offline replay runs bit-identical across two "
-          f"invocations; scored report means {derived_means} ({elapsed:.2f}s)")
+    print(f"\nACCEPTANCE 8 PASS - 8 offline replay runs bit-identical between runs per "
+          f"cell and one acsa grid; scored report means {derived_means} ({elapsed:.2f}s)")

@@ -74,6 +74,15 @@ class TestRequestHashing:
         assert fresh == request and hash(fresh) == hash(request)
         assert "_key" not in repr(request)
 
+    @pytest.mark.parametrize("temperature", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_parameter_is_refused(self, temperature):
+        # JSON has no Infinity or NaN; the request would hash a non-JSON token
+        request = make_request(temperature=temperature)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            request.canonical_json()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            request.cache_key
+
     def test_greedy_preset(self):
         params = DecodeParams()
         assert (params.temperature, params.top_p) == (0.0, 1.0)

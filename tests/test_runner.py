@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from helpers import e2e_grid_toml
 
 from acsa_harness import cli, llm, runner
 from acsa_harness.datasets import load_xml
@@ -21,6 +23,7 @@ from acsa_harness.llm import (
     WarmSummary,
     write_cache_file,
 )
+from acsa_harness.metrics import read_score_rows
 from acsa_harness.prompts import render_categories
 from acsa_harness.runner import (
     ConfigError,
@@ -28,11 +31,13 @@ from acsa_harness.runner import (
     RunDataError,
     _load_split,
     load_config,
+    load_grid,
     parse_flat_config,
     prepare_jobs,
     run,
     score_run,
 )
+from acsa_harness.umr import UmrParseError
 
 MINI_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <Reviews>
@@ -459,6 +464,29 @@ class TestFlatConfig:
             load_config(path)
         assert cli.main(["run", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b'model_id = "caf\xe9"\n', "not UTF-8: invalid continuation byte at byte offset 15"),
+            (b'model_id = "x"\n\xff\n', "not UTF-8: invalid start byte at byte offset 15"),
+            (
+                b'\xef\xbb\xbfmodel_id = "x"\n',
+                "the file starts with a byte-order mark; save it as UTF-8 without one",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_config_file_must_be_utf8_without_bom(self, tmp_path, capsys, command, data, message):
+        path = tmp_path / "run.toml"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_config(path)
+        argv = [command, "--config", str(path)]
+        if command == "grid":
+            argv += ["--scores", str(tmp_path / "scores.csv")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_readme_example_lists_every_key(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
         block = readme.split("```toml\n", 1)[1].split("```", 1)[0]
@@ -510,6 +538,7 @@ class TestValidateRanges:
             ("max_output_tokens", 0, 4096),
             ("temperature", -3.0, 0.0),
             ("temperature", float("nan"), 0.7),
+            ("temperature", float("inf"), 0.7),
             ("top_p", 7.0, 1.0),
             ("top_p", 0.0, 0.1),
         ],
@@ -520,6 +549,23 @@ class TestValidateRanges:
         with pytest.raises(ConfigError, match=key):
             config.validate()
         assert cli.main(run_argv(config, **{key: refused})) == 1
+        assert_nothing_written(config)
+
+    @pytest.mark.parametrize("spelt", ["inf", "+inf"])
+    def test_infinite_temperature_in_config_file_refused(
+        self, tmp_path, monkeypatch, capsys, spelt
+    ):
+        # passed to a request, it would hash and write the non-JSON token Infinity
+        config = make_config(tmp_path)
+        write_fixtures(config)
+        built = []
+        make_backend = runner.make_backend
+        monkeypatch.setattr(runner, "make_backend", lambda c: built.append(c) or make_backend(c))
+        path = write_config_file(config, tmp_path / "run.toml", temperature=spelt)
+        assert load_config(path).temperature == float("inf")
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert "temperature must be a finite number >= 0, got inf" in capsys.readouterr().err
+        assert built == []
         assert_nothing_written(config)
 
     @pytest.mark.parametrize("key,refused", [("temperature", 0.7), ("top_p", 0.9)])
@@ -1162,6 +1208,268 @@ class TestCli:
         )
         assert code == 0
         assert "fetched: 4" in capsys.readouterr().out
+
+
+class TestPreparationMemos:
+    """Exemplar files and category inventories are prepared once per
+    process. Each test clears both memos first, so test order cannot
+    matter."""
+
+    @pytest.fixture(autouse=True)
+    def clear_memos(self):
+        runner._exemplar.cache_clear()
+        runner._prepared_inventory.cache_clear()
+
+    def test_grid_parses_each_exemplar_file_once(self, tmp_path, monkeypatch, capsys):
+        parsed = []
+        parse = runner.parse_document
+
+        def counting_parse(text, source_id):
+            parsed.append(source_id)
+            return parse(text, source_id=source_id)
+
+        monkeypatch.setattr(runner, "parse_document", counting_parse)
+        grid = tmp_path / "grid.toml"
+        grid.write_text(e2e_grid_toml(tmp_path / "runs", methods=("umr",)), "utf-8")
+        argv = ["grid", "--config", str(grid), "--scores", str(tmp_path / "scores.csv")]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.count("_umr: samples: 10 ") == 4
+        assert sorted(parsed) == [f"ex{i}.umr" for i in range(5)]
+        manifest = json.loads((tmp_path / "runs" / "Laptop16_umr.manifest.json").read_text("utf-8"))
+        assert manifest["results_sha256"] == LAPTOP16_UMR_SHA256
+
+    def test_rewritten_file_gives_new_blocks(self, tmp_path):
+        config = make_config(tmp_path, "umr")
+        split = _load_split(config)
+        before = [job.request.user for job in prepare_jobs(config, split)]
+        for path in map(Path, config.exemplar_paths):
+            path.write_text(path.read_text("utf-8").replace("::snt Example", "::snt Rewritten"))
+        after = [job.request.user for job in prepare_jobs(config, split)]
+        assert all("::snt Example" in user and "Rewritten" not in user for user in before)
+        assert after == [user.replace("::snt Example", "::snt Rewritten") for user in before]
+
+    def test_crlf_file_gives_the_same_blocks(self, tmp_path):
+        config = make_config(tmp_path, "umr")
+        split = _load_split(config)
+        before = prepare_jobs(config, split)
+        for path in map(Path, config.exemplar_paths):
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        runner._exemplar.cache_clear()
+        assert prepare_jobs(config, split) == before
+
+    def test_same_content_under_another_name(self, tmp_path):
+        config = make_config(tmp_path, "umr")
+        split = _load_split(config)
+        jobs = prepare_jobs(config, split)
+        drawn = jobs[0].exemplar_file_id
+        index = [Path(p).name for p in config.exemplar_paths].index(drawn)
+        copy = tmp_path / "copy.umr"
+        copy.write_text(Path(config.exemplar_paths[index]).read_text("utf-8"), "utf-8")
+        paths = list(config.exemplar_paths)
+        paths[index] = str(copy)
+        config.exemplar_paths = tuple(paths)
+        renamed = prepare_jobs(config, split)
+        assert [job.request for job in renamed] == [job.request for job in jobs]
+        assert [job.exemplar_file_id for job in renamed] == [
+            "copy.umr" if job.exemplar_file_id == drawn else job.exemplar_file_id for job in jobs
+        ]
+
+    def test_malformed_file_raises_on_every_run_until_fixed(self, tmp_path):
+        config = make_config(tmp_path, "umr")
+        path = Path(config.exemplar_paths[0])
+        good = path.read_text("utf-8")
+        path.write_text("::snt Broken.\n(b / thing :mod (c / other)", "utf-8")
+        for _ in range(2):
+            with pytest.raises(UmrParseError, match="never closed"):
+                run(config)
+            assert_nothing_written(config)
+        path.write_text(good, "utf-8")
+        write_fixtures(config)
+        assert run(config).n_transport_errors == 0
+
+    def test_equal_categories_share_one_inventory(self, tmp_path, monkeypatch):
+        used = []
+        process = runner._process_job
+
+        def recording(job, answer, inventory, cutoff):
+            used.append(inventory)
+            return process(job, answer, inventory, cutoff)
+
+        monkeypatch.setattr(runner, "_process_job", recording)
+        inventory = tmp_path / "inventory.txt"
+        inventory.write_text("FOOD#QUALITY\nSERVICE#GENERAL\nDRINKS#PRICES\nAMBIENCE\n", "utf-8")
+        configs = [
+            make_config(tmp_path),
+            make_config(tmp_path, "umr"),
+            make_config(
+                tmp_path, inventory_path=str(inventory), output_path=str(tmp_path / "other.jsonl")
+            ),
+        ]
+        prepared = []
+        for config in configs:
+            used.clear()
+            assert run(config).n_samples == 4  # each answer a missing fixture
+            assert len(used) == 4 and all(item is used[0] for item in used)
+            prepared.append(used[0])
+        assert prepared[0] is prepared[1]
+        assert prepared[2] is not prepared[0]
+        assert runner._prepared_inventory.cache_info().currsize == 2
+
+    def test_memos_are_bounded(self):
+        for i in range(runner.EXEMPLAR_MEMO_SIZE + 3):
+            runner._exemplar(f"ex{i}.umr", f"::snt Sentence {i}.\n(s / thing)")
+        info = runner._exemplar.cache_info()
+        assert (info.maxsize, info.currsize) == (runner.EXEMPLAR_MEMO_SIZE,) * 2
+        for i in range(runner.INVENTORY_MEMO_SIZE + 3):
+            runner._prepared_inventory((f"CATEGORY#{i}",))
+        info = runner._prepared_inventory.cache_info()
+        assert (info.maxsize, info.currsize) == (runner.INVENTORY_MEMO_SIZE,) * 2
+
+
+def write_grid(path: Path, shared: dict, cells: dict) -> Path:
+    """A grid file of ``shared`` top-level keys and one ``[cells.NAME]``
+    table per item of ``cells``; each value is written as JSON writes it."""
+    lines = [f"{key} = {json.dumps(value)}" for key, value in shared.items()]
+    for name, keys in cells.items():
+        lines.append(f"[cells.{name}]")
+        lines += [f"{key} = {json.dumps(value)}" for key, value in keys.items()]
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    return path
+
+
+class TestGrid:
+    SHARED = ("dataset", "dataset_path", "model_id", "backend", "fixture_dir", "seed")
+
+    def cells(self, tmp_path):
+        """A baseline and a umr config on the mini split, fixtures written."""
+        configs = {"base": make_config(tmp_path), "umr": make_config(tmp_path, "umr")}
+        for config in configs.values():
+            write_fixtures(config)
+        return configs
+
+    def grid(self, tmp_path, configs, **changes) -> Path:
+        """``configs`` as a grid file; ``changes`` maps a cell name to
+        keys that replace or add to that cell's keys."""
+        shared = {key: getattr(configs["base"], key) for key in self.SHARED}
+        cells = {}
+        for name, config in configs.items():
+            keys = {"method": config.method, "output_path": config.output_path}
+            if config.exemplar_paths:
+                keys["exemplar_paths"] = list(config.exemplar_paths)
+            cells[name] = {**keys, **changes.get(name, {})}
+        return write_grid(tmp_path / "grid.toml", shared, cells)
+
+    def test_runs_every_cell_and_writes_scores(self, tmp_path, capsys):
+        configs = self.cells(tmp_path)
+        grid = self.grid(tmp_path, configs)
+        assert load_grid(grid) == list(configs.items())
+        scores = tmp_path / "out" / "scores.csv"
+        assert cli.main(["grid", "--config", str(grid), "--scores", str(scores)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":", 1)[0] for line in out] == ["cells.base", "cells.umr", "scores"]
+        expected = []
+        for config in configs.values():
+            report = score_run(config.output_path, _load_split(config))
+            expected.append(
+                (config.method, "unit-model", "Restaurant16", round(report.micro_f1 * 100, 2))
+            )
+        assert scores.read_text("utf-8").splitlines()[0] == "method,model,dataset,score"
+        assert read_score_rows(scores) == expected
+        assert cli.main(["report", "--cells", str(scores)]) == 0
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"no_such_key": 1}, "unknown config key 'no_such_key'"),
+            ({"seed": "7"}, "seed must be int, got str '7'"),
+            ({"dataset_path": "missing.xml"}, "dataset_path does not exist: 'missing.xml'"),
+            # the same file as cells.base's absolute output_path
+            ({"output_path": "out_baseline.jsonl"}, "out_baseline.jsonl is also written by cells.base"),
+            (
+                {"method": "baseline"},
+                "cells.base has the same method, model_id and dataset",
+            ),
+        ],
+    )
+    def test_cell_faults_stop_the_grid_before_it_runs(
+        self, tmp_path, monkeypatch, capsys, changes, message
+    ):
+        configs = self.cells(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        grid = self.grid(tmp_path, configs, umr=changes)
+        with pytest.raises(ConfigError, match=re.escape(f"{grid}: cells.umr: ")):
+            load_grid(grid)
+        answered = []
+        monkeypatch.setattr(ChatClient, "chat", lambda self, request: answered.append(request))
+        scores = tmp_path / "scores.csv"
+        assert cli.main(["grid", "--config", str(grid), "--scores", str(scores)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {grid}: cells.umr: ") and message in err, err
+        assert answered == [] and not scores.exists()
+        for config in configs.values():
+            assert_nothing_written(config)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('seed = 1\n', "a grid needs at least one [cells.NAME] table"),
+            ("cells = 3\n", "a grid needs at least one [cells.NAME] table"),
+            ("[cells]\n", "a grid needs at least one [cells.NAME] table"),
+            ("no_such_key = 1\n[cells.a]\nseed = 1\n", "unknown config key 'no_such_key'"),
+            ("[cells]\na = 3\n", "cells.a: must be a table, got int 3"),
+        ],
+    )
+    def test_grid_shape_faults(self, tmp_path, capsys, text, message):
+        grid = tmp_path / "grid.toml"
+        grid.write_text(text, "utf-8")
+        assert cli.main(["grid", "--config", str(grid), "--scores", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {grid}: {message}\n"
+
+    def test_transport_failures_stop_the_grid(self, tmp_path, capsys):
+        configs = self.cells(tmp_path)
+        fixtures = tmp_path / "partial"
+        fixtures.mkdir()
+        write_fixtures(configs["base"], skip={"t:0", "t:1"}, directory=fixtures)  # 50% missing
+        grid = self.grid(tmp_path, configs, base={"fixture_dir": str(fixtures)})
+        scores = tmp_path / "scores.csv"
+        assert cli.main(["grid", "--config", str(grid), "--scores", str(scores)]) == 3
+        captured = capsys.readouterr()
+        assert "cells.base: transport failure rate 50.0% exceeds 10%" in captured.err
+        assert "transport errors: 2" in captured.out
+        assert configs["base"].manifest_path().exists()
+        assert_nothing_written(configs["umr"])
+        assert not scores.exists()
+
+    def test_data_fault_stops_the_grid(self, tmp_path, capsys):
+        configs = self.cells(tmp_path)
+        Path(configs["umr"].exemplar_paths[0]).write_text("::snt Broken.\n(b / thing", "utf-8")
+        grid = self.grid(tmp_path, configs)
+        scores = tmp_path / "scores.csv"
+        assert cli.main(["grid", "--config", str(grid), "--scores", str(scores)]) == 2
+        assert "never closed" in capsys.readouterr().err
+        base = configs["base"]
+        manifest = json.loads(base.manifest_path().read_text("utf-8"))
+        digest = hashlib.sha256(Path(base.output_path).read_bytes()).hexdigest()
+        assert manifest["results_sha256"] == digest
+        assert_nothing_written(configs["umr"])
+        assert not scores.exists()
+
+    def test_readme_example_runs_the_committed_cells(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        section = readme.split("### `acsa grid`\n", 1)[1]
+        block = section.split("```toml\n", 1)[1].split("```", 1)[0]
+        grid = tmp_path / "grid.toml"
+        grid.write_text(block, "utf-8")
+        monkeypatch.chdir(Path(__file__).parent.parent)
+        cells = dict(load_grid(grid))
+        assert [(c.dataset, c.method) for c in cells.values()] == [
+            ("Laptop16", "baseline"), ("Laptop16", "umr")
+        ]
+        config = cells["laptop16_umr"]
+        config.update({"output_path": str(tmp_path / "umr.jsonl"), "cache_dir": ""})
+        run(config)
+        manifest = json.loads(config.manifest_path().read_text("utf-8"))
+        assert manifest["results_sha256"] == LAPTOP16_UMR_SHA256
 
 
 E2E = Path(__file__).parent / "fixtures" / "e2e"

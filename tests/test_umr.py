@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 from helpers import (
+    load_document,
     parse_document_reference,
     parse_graph_reference,
     random_graph,
@@ -32,7 +33,6 @@ from acsa_harness.umr import (
     UnbalancedParens,
     exemplar_draw_indices,
     format_exemplars,
-    load_document,
     parse_document,
     parse_graph,
     serialize_graph,
