@@ -8,7 +8,6 @@ transport failure rate.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -16,7 +15,7 @@ from pathlib import Path
 
 from . import datasets as ds
 from . import metrics, runner, stats, umr
-from .llm import AuthError, ChatClient, LlmError, atomic_file
+from .llm import AuthError, ChatClient, LlmError
 from .runner import ConfigError, RunConfig, RunDataError, load_config
 
 EXIT_OK = 0
@@ -119,14 +118,11 @@ def _cmd_grid(args) -> int:
         if _too_many_transport_errors(summary, where):
             print(f"{where}{_counts(summary)}")
             return EXIT_TRANSPORT
-        report = runner.score_run(summary.results_path, runner._load_split(config))
-        score = f"{report.micro_f1 * 100.0:.2f}"
-        print(f"{where}{_counts(summary)}  micro_f1: {score}%  results: {summary.results_path}")
+        report = runner.score_run(summary.results_path, summary.split)
+        score = report.micro_f1 * 100.0
+        print(f"{where}{_counts(summary)}  micro_f1: {score:.2f}%  results: {summary.results_path}")
         rows.append((config.method, config.model_id, config.dataset, score))
-    with atomic_file(Path(args.scores)) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("method", "model", "dataset", "score"))
-        writer.writerows(rows)
+    metrics.write_score_rows(args.scores, rows)
     print(f"scores: {args.scores}")
     return EXIT_OK
 
@@ -186,8 +182,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rows = metrics.read_score_rows(args.cells)
-    agg = metrics.aggregate(metrics.cells_from_rows(rows))
+    agg = metrics.aggregate(metrics.score_table(metrics.read_score_rows(args.cells)))
     if args.json:
         print(json.dumps(metrics.aggregate_to_json(agg), indent=2, sort_keys=True))
     else:
@@ -198,9 +193,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_anova(args) -> int:
-    rows = metrics.read_score_rows(args.cells)
-    design = stats.FactorialDesign.from_rows(rows)
-    table = stats.anova(design)
+    grid = metrics.score_table(metrics.read_score_rows(args.cells))
+    table = stats.anova(
+        stats.FactorialDesign(grid.methods, grid.models, grid.datasets, grid.values())
+    )
     if args.json:
         print(json.dumps(stats.anova_to_json(table), indent=2, sort_keys=True))
     else:

@@ -35,7 +35,7 @@ import os
 import time
 from collections.abc import Iterator
 from contextlib import closing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import tee
@@ -304,6 +304,8 @@ class RunSummary:
     n_format_failures: int
     n_transport_errors: int
     n_dropped_pairs: int
+    # the split the run loaded, so that its results are scored without loading it again
+    split: ds.DatasetSplit = field(repr=False, compare=False)
 
     @property
     def transport_error_rate(self) -> float:
@@ -520,6 +522,7 @@ def run(config: RunConfig) -> RunSummary:
         n_format,
         n_errors,
         n_dropped,
+        split,
     )
 
 

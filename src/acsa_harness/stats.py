@@ -6,6 +6,9 @@ MS(effect) / MS(three-way interaction). Effect sizes are classical
 eta-squared, SS(effect) / SS(total). Upper-tail F probabilities come from
 the regularized incomplete beta function evaluated by continued fraction.
 
+A FactorialDesign takes a ``metrics.ScoreTable``'s levels and values,
+the table having checked that the grid is complete.
+
 The grid holds a few dozen cells, so everything is pure Python: marginal
 means come from index arithmetic over the flattened cell values and
 every sum goes through ``math.fsum``.
@@ -17,7 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import fsum
-from typing import Iterable
 
 EFFECT_NAMES = (
     "Method",
@@ -67,38 +69,6 @@ class FactorialDesign:
                 )
             if len(set(levels)) != len(levels):
                 raise IncompleteDesign(f"factor {label!r} has duplicate levels")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[str, str, str, float]]) -> "FactorialDesign":
-        """Build from (method, model, dataset, score) rows in any order."""
-        methods: list[str] = []
-        models: list[str] = []
-        datasets: list[str] = []
-        cells: dict[tuple[str, str, str], float] = {}
-        for method, model, dataset, value in rows:
-            if method not in methods:
-                methods.append(method)
-            if model not in models:
-                models.append(model)
-            if dataset not in datasets:
-                datasets.append(dataset)
-            key = (method, model, dataset)
-            if key in cells:
-                raise IncompleteDesign(f"duplicate observation for cell {key}")
-            cells[key] = float(value)
-        missing = [
-            (a, b, c)
-            for a in methods
-            for b in models
-            for c in datasets
-            if (a, b, c) not in cells
-        ]
-        if missing:
-            raise IncompleteDesign(f"missing cells: {missing[:5]}")
-        values = tuple(
-            cells[(a, b, c)] for a in methods for b in models for c in datasets
-        )
-        return cls(tuple(methods), tuple(models), tuple(datasets), values)
 
 
 @dataclass(frozen=True)

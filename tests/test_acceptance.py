@@ -24,7 +24,7 @@ from helpers import (
 
 from acsa_harness import cli
 from acsa_harness.datasets import load_dataset, verify_official_counts
-from acsa_harness.metrics import aggregate, cells_from_rows, read_score_rows, score
+from acsa_harness.metrics import aggregate, read_score_rows, score, score_table
 from acsa_harness.postprocess import NoListFound, RawPair, extract_pair_list, similarity
 from acsa_harness.runner import RunConfig, load_grid, run, score_run
 from acsa_harness.stats import FactorialDesign, anova, f_upper_tail
@@ -177,7 +177,8 @@ def test_acceptance_2_summary_means_from_grid(capsys):
 
 def test_acceptance_3_anova_reproduction():
     budget = _Budget(5.0)
-    design = FactorialDesign.from_rows(read_score_rows(FIXTURES / "scores_grid.csv"))
+    grid = score_table(read_score_rows(FIXTURES / "scores_grid.csv"))
+    design = FactorialDesign(grid.methods, grid.models, grid.datasets, grid.values())
     table = anova(design)
 
     method = table.effect("Method")
@@ -471,7 +472,7 @@ def test_acceptance_8_end_to_end_replay(tmp_path):
             report = score_run(config.output_path, split)
             assert (report.tp, report.fp, report.fn) == expected_counts[(dataset, method)]
             if out_dir == run1:
-                cells[(dataset, method, meta["model_id"])] = round(report.micro_f1 * 100, 2)
+                cells[(method, meta["model_id"], dataset)] = round(report.micro_f1 * 100, 2)
             if method == "umr":
                 records = [
                     json.loads(line)
@@ -484,9 +485,11 @@ def test_acceptance_8_end_to_end_replay(tmp_path):
         first = (run1 / f"{dataset}_{method}.jsonl").read_bytes()
         second = (run2 / f"{dataset}_{method}.jsonl").read_bytes()
         assert first == second, f"{dataset}/{method} results differ between invocations"
-    assert cells_from_rows(read_score_rows(scores)) == cells
+    table = score_table(read_score_rows(scores))
+    assert table.scores == cells
+    assert (table.methods, table.models) == (("baseline", "umr"), (meta["model_id"],))
 
-    agg = aggregate(cells)
+    agg = aggregate(table)
     from acsa_harness.metrics import render_detailed_table, render_summary_table
 
     derived_means = {}

@@ -1,22 +1,26 @@
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
+from acsa_harness import cli
 from acsa_harness.datasets import Pair, Polarity
 from acsa_harness.metrics import (
     LengthMismatch,
     aggregate,
     aggregate_to_json,
-    cells_from_rows,
     read_score_rows,
     render_detailed_table,
     render_summary_table,
     round_half_up,
     score,
+    score_table,
+    write_score_rows,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GRID_CSV = FIXTURES / "scores_grid.csv"
 
 
 def _pair(category, polarity):
@@ -130,12 +134,33 @@ class TestScore:
             score([frozenset()], [])
 
 
+class TestScoreTable:
+    def test_levels_in_first_seen_order(self):
+        table = score_table(read_score_rows(GRID_CSV))
+        assert table.methods == ("baseline", "umr")
+        assert table.models == ("Qwen3-4B", "Qwen3-8B", "Gemini-2.5-Pro")
+        assert table.datasets == ("Laptop16", "Restaurant16", "MAMS", "Shoes")
+        assert table.scores[("umr", "Qwen3-8B", "Shoes")] == 45.60
+
+    def test_values_in_method_model_dataset_order(self):
+        keys = list(itertools.product(("a", "b"), ("x", "y", "z"), ("p", "q")))
+        table = score_table((*key, float(i)) for i, key in reversed(list(enumerate(keys))))
+        assert (table.methods, table.models, table.datasets) == (
+            ("b", "a"), ("z", "y", "x"), ("q", "p")
+        )
+        assert table.values() == tuple(float(i) for i in reversed(range(12)))
+
+    def test_no_rows(self):
+        with pytest.raises(ValueError, match="no score rows"):
+            score_table([])
+
+
 class TestAggregate:
-    def _grid_cells(self):
-        return cells_from_rows(read_score_rows(FIXTURES / "scores_grid.csv"))
+    def _grid_table(self):
+        return score_table(read_score_rows(GRID_CSV))
 
     def test_reference_grid_means(self):
-        agg = aggregate(self._grid_cells())
+        agg = aggregate(self._grid_table())
         expected = {
             ("baseline", "Qwen3-4B"): 35.57,
             ("baseline", "Qwen3-8B"): 43.77,
@@ -148,31 +173,30 @@ class TestAggregate:
             assert agg.means[key] == pytest.approx(value, abs=0.005)
 
     def test_identical_cells_mean_is_that_score(self):
-        cells = {
-            (d, m, mo): 41.25
+        rows = [
+            (m, mo, d, 41.25)
             for d in ("A", "B", "C", "D")
             for m in ("baseline", "umr")
             for mo in ("m1",)
-        }
-        agg = aggregate(cells)
+        ]
+        agg = aggregate(score_table(rows))
         assert agg.means[("baseline", "m1")] == 41.25
         assert agg.stds[("baseline", "m1")] == 0.0
 
     def test_rounding_half_up(self):
-        cells = {(d, "m", "x"): v for d, v in zip("ABCD", (10.01, 10.01, 10.02, 10.02))}
-        agg = aggregate(cells)
+        rows = [("m", "x", d, v) for d, v in zip("ABCD", (10.01, 10.01, 10.02, 10.02))]
+        agg = aggregate(score_table(rows))
         assert agg.means[("m", "x")] == 10.02  # 10.015 rounds up, not to even
         assert round_half_up(0.125, 2) == 0.13
         assert round_half_up(35.5675, 2) == 35.57
 
     def test_incomplete_grid_rejected(self):
-        cells = self._grid_cells()
-        cells.pop(("Shoes", "umr", "Qwen3-8B"))
-        with pytest.raises(ValueError):
-            aggregate(cells)
+        rows = [r for r in read_score_rows(GRID_CSV) if r[:3] != ("umr", "Qwen3-8B", "Shoes")]
+        with pytest.raises(ValueError, match="missing"):
+            aggregate(score_table(rows))
 
     def test_rendered_tables(self):
-        agg = aggregate(self._grid_cells())
+        agg = aggregate(self._grid_table())
         summary = render_summary_table(agg)
         assert "35.57" in summary and "57.66" in summary
         detailed = render_detailed_table(agg)
@@ -193,6 +217,11 @@ class TestScoreRows:
         path.write_text("baseline,m1,D1,50.0\n", "utf-8")
         assert read_score_rows(path) == [("baseline", "m1", "D1", 50.0)]
 
+    def test_header_after_blank_lines(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        path.write_text("\n , \nmethod,model,dataset,score\nbaseline,m1,D1,50.0\n", "utf-8")
+        assert read_score_rows(path) == [("baseline", "m1", "D1", 50.0)]
+
     def test_bad_column_count(self, tmp_path):
         path = tmp_path / "cells.csv"
         path.write_text("baseline,m1,50.0\n", "utf-8")
@@ -205,8 +234,80 @@ class TestScoreRows:
         with pytest.raises(ValueError):
             read_score_rows(path)
 
+    def test_fault_names_the_file_line(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        path.write_text('"two\nlines",m1,D1,50.0\nbaseline,m1,D2,oops\n', "utf-8")
+        with pytest.raises(ValueError, match=r"cells\.csv:3: non-numeric score 'oops'"):
+            read_score_rows(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", " NaN "])
+    def test_non_finite_score(self, tmp_path, text):
+        path = tmp_path / "cells.csv"
+        path.write_text(f"baseline,m1,D1,50.0\nbaseline,m1,D2,{text}\n", "utf-8")
+        with pytest.raises(ValueError) as info:
+            read_score_rows(path)
+        assert str(info.value) == f"{path}:2: non-finite score {text!r}"
+
     def test_duplicate_cell(self, tmp_path):
         path = tmp_path / "cells.csv"
         path.write_text("baseline,m1,D1,50.0\nbaseline,m1,D1,60.0\n", "utf-8")
-        with pytest.raises(ValueError):
-            cells_from_rows(read_score_rows(path))
+        with pytest.raises(ValueError) as info:
+            score_table(read_score_rows(path))
+        assert str(info.value) == "repeated (method, model, dataset) cell ('baseline', 'm1', 'D1')"
+
+    def test_written_rows_read_back(self, tmp_path):
+        path = tmp_path / "out" / "scores.csv"
+        write_score_rows(path, [("baseline", "m1", "D1", 85.714), ("umr", "m1", "D1", 90.0)])
+        assert path.read_text("utf-8") == (
+            "method,model,dataset,score\nbaseline,m1,D1,85.71\numr,m1,D1,90.00\n"
+        )
+        assert read_score_rows(path) == [("baseline", "m1", "D1", 85.71), ("umr", "m1", "D1", 90.0)]
+
+
+class TestScoresCommands:
+    """``acsa report`` and ``acsa anova`` read the scores file the same way."""
+
+    @pytest.mark.parametrize("command", ["report", "anova"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_stdout_pinned(self, capsys, command, json_flag):
+        assert cli.main([command, "--cells", str(GRID_CSV), *json_flag]) == 0
+        suffix = "json" if json_flag else "txt"
+        expected = (FIXTURES / "scores_grid_out" / f"{command}.{suffix}").read_text("utf-8")
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda lines: lines + [lines[1]],
+                "repeated (method, model, dataset) cell ('baseline', 'Qwen3-4B', 'Laptop16')",
+            ),
+            (
+                lambda lines: lines[:-1],
+                "missing (method, model, dataset) cell ('umr', 'Gemini-2.5-Pro', 'Shoes')",
+            ),
+            (
+                lambda lines: lines[:5] + ["baseline,Qwen3-8B,Laptop16,nan"] + lines[6:],
+                "{path}:6: non-finite score 'nan'",
+            ),
+            (
+                lambda lines: lines[:5] + ["baseline,Qwen3-8B,Laptop16,inf"] + lines[6:],
+                "{path}:6: non-finite score 'inf'",
+            ),
+            (lambda lines: [""] + lines, None),  # the header is the first non-blank row
+        ],
+    )
+    @pytest.mark.parametrize("command", ["report", "anova"])
+    def test_faults_read_alike(self, tmp_path, capsys, command, edit, message):
+        lines = GRID_CSV.read_text("utf-8").splitlines()
+        path = tmp_path / "scores.csv"
+        path.write_text("\n".join(edit(lines)) + "\n", "utf-8")
+        code = cli.main([command, "--cells", str(path)])
+        captured = capsys.readouterr()
+        if message is None:
+            assert code == 0
+            expected = (FIXTURES / "scores_grid_out" / f"{command}.txt").read_text("utf-8")
+            assert captured.out == expected
+        else:
+            assert code == 2
+            assert captured.err == f"error: {message.format(path=path)}\n"

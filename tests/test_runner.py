@@ -23,7 +23,7 @@ from acsa_harness.llm import (
     WarmSummary,
     write_cache_file,
 )
-from acsa_harness.metrics import read_score_rows
+from acsa_harness.metrics import read_score_rows, score_table
 from acsa_harness.prompts import render_categories
 from acsa_harness.runner import (
     ConfigError,
@@ -1375,7 +1375,28 @@ class TestGrid:
             )
         assert scores.read_text("utf-8").splitlines()[0] == "method,model,dataset,score"
         assert read_score_rows(scores) == expected
+        table = score_table(read_score_rows(scores))
+        assert (table.methods, table.models, table.datasets) == (
+            ("baseline", "umr"), ("unit-model",), ("Restaurant16",)
+        )
+        assert table.values() == tuple(row[3] for row in expected)
         assert cli.main(["report", "--cells", str(scores)]) == 0
+
+    def test_each_cell_loads_its_split_once(self, tmp_path, monkeypatch):
+        loads = []
+        load_dataset = runner.ds.load_dataset
+
+        def counting_load(name, *args, **kwargs):
+            loads.append(name)
+            return load_dataset(name, *args, **kwargs)
+
+        monkeypatch.setattr(runner.ds, "load_dataset", counting_load)
+        grid = tmp_path / "grid.toml"
+        grid.write_text(e2e_grid_toml(tmp_path), "utf-8")
+        scores = tmp_path / "scores.csv"
+        assert cli.main(["grid", "--config", str(grid), "--scores", str(scores)]) == 0
+        assert len(loads) == 8
+        assert sorted(set(loads)) == ["Laptop16", "MAMS", "Restaurant16", "Shoes"]
 
     @pytest.mark.parametrize(
         "changes,message",

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from helpers import f_upper_tail_quadrature
 
-from acsa_harness.metrics import read_score_rows
+from acsa_harness.metrics import ScoreTable, read_score_rows, score_table
 from acsa_harness.stats import (
     EFFECT_NAMES,
     AnovaTable,
@@ -23,8 +23,13 @@ from acsa_harness.stats import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def design_of(table: ScoreTable) -> FactorialDesign:
+    """The design ``acsa anova`` builds from a score table."""
+    return FactorialDesign(table.methods, table.models, table.datasets, table.values())
+
+
 def load_grid_design() -> FactorialDesign:
-    return FactorialDesign.from_rows(read_score_rows(FIXTURES / "scores_grid.csv"))
+    return design_of(score_table(read_score_rows(FIXTURES / "scores_grid.csv")))
 
 
 def random_design(rng, a=2, b=3, c=4) -> FactorialDesign:
@@ -80,7 +85,7 @@ def brute_force_ss(design: FactorialDesign) -> dict:
 
 
 class TestDesign:
-    def test_from_rows_orders_levels_by_appearance(self):
+    def test_table_orders_levels_by_appearance(self):
         design = load_grid_design()
         assert design.methods == ("baseline", "umr")
         assert design.models == ("Qwen3-4B", "Qwen3-8B", "Gemini-2.5-Pro")
@@ -89,18 +94,23 @@ class TestDesign:
 
     def test_missing_cell_rejected(self):
         rows = read_score_rows(FIXTURES / "scores_grid.csv")[:-1]
-        with pytest.raises(IncompleteDesign):
-            FactorialDesign.from_rows(rows)
+        with pytest.raises(ValueError, match="missing"):
+            score_table(rows)
 
     def test_duplicate_cell_rejected(self):
         rows = read_score_rows(FIXTURES / "scores_grid.csv")
-        with pytest.raises(IncompleteDesign):
-            FactorialDesign.from_rows(rows + [rows[0]])
+        with pytest.raises(ValueError, match="repeated"):
+            score_table(rows + [rows[0]])
 
     def test_single_level_factor_rejected(self):
         rows = [r for r in read_score_rows(FIXTURES / "scores_grid.csv") if r[0] == "umr"]
         with pytest.raises(IncompleteDesign):
-            FactorialDesign.from_rows(rows)
+            design_of(score_table(rows))
+
+    def test_incomplete_values_rejected(self):
+        design = load_grid_design()
+        with pytest.raises(IncompleteDesign):
+            FactorialDesign(design.methods, design.models, design.datasets, design.values[:-1])
 
 
 class TestDecomposition:
@@ -133,7 +143,7 @@ class TestDecomposition:
                 (levels[0][i], levels[1][j], levels[2][k], value((i, j, k)))
                 for i, j, k in cells
             ]
-            design = FactorialDesign.from_rows(rows)
+            design = design_of(score_table(rows))
             for i, j, k in cells:
                 assert design.values[(i * 3 + j) * 4 + k] == value((i, j, k))
             got = decompose(design)
