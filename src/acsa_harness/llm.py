@@ -171,9 +171,16 @@ def write_cache_file(path: Path, request: ChatRequest, text: str) -> None:
 
 
 def read_cache_file(path: Path, expected_hash: str) -> str:
-    """Load and verify one cache/fixture file, returning the response text."""
+    """Load and verify one cache/fixture file, returning the response text.
+
+    A missing file raises FileNotFoundError, which callers take as a
+    cache miss or a missing fixture; any other fault reading the file,
+    or a payload that fails the checks, raises CacheCorrupt.
+    """
     try:
         payload = json.loads(path.read_text("utf-8"))
+    except FileNotFoundError:
+        raise
     except (OSError, json.JSONDecodeError) as err:
         raise CacheCorrupt(f"{path}: unreadable cache file ({err})") from err
     if payload.get("request_hash") != expected_hash:
@@ -280,10 +287,11 @@ class ReplayBackend:
 
     def complete(self, request: ChatRequest) -> str:
         key = request.cache_key
-        path = self.fixture_dir / f"{key}.json"
-        if not path.exists():
-            raise MissingFixture(f"no fixture for request hash {key} in {self.fixture_dir}")
-        return read_cache_file(path, key)
+        try:
+            return read_cache_file(self.fixture_dir / f"{key}.json", key)
+        except FileNotFoundError:
+            message = f"no fixture for request hash {key} in {self.fixture_dir}"
+            raise MissingFixture(message) from None
 
 
 class ChatClient:
@@ -314,9 +322,12 @@ class ChatClient:
 
     def _cache_lookup(self, key: str) -> str | None:
         path = self._cache_path(key)
-        if path is None or not path.exists():
+        if path is None:
             return None
-        return read_cache_file(path, key)
+        try:
+            return read_cache_file(path, key)
+        except FileNotFoundError:
+            return None
 
     def is_cached(self, request: ChatRequest) -> bool:
         """Whether the cache holds a file for ``request``, by its existence

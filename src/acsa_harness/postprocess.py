@@ -15,7 +15,6 @@ escapes the character after it, a newline included.
 
 from __future__ import annotations
 
-import difflib
 import re
 import sys
 from array import array
@@ -119,14 +118,61 @@ def similarity(a: str, b: str) -> float:
     """Gestalt (Ratcliff/Obershelp) ratio 2*M/(|a|+|b|) in [0, 1].
 
     M counts characters in the recursive longest-matching-block
-    decomposition with no junk heuristic. The classical decomposition
-    depends on argument order, so the two strings are put into a
-    canonical order (by length, then lexicographically) before matching;
-    that makes the function symmetric without changing the ratio for
-    equal-role cases like spelling variants.
+    decomposition with no junk heuristic (``_matched``): the blocks and
+    the float are those of difflib's ``SequenceMatcher(None, a, b,
+    autojunk=False).ratio()``. The classical decomposition depends on
+    argument order, so the two strings are put into a canonical order
+    (by length, then lexicographically) before matching; that makes the
+    function symmetric without changing the ratio for equal-role cases
+    like spelling variants.
     """
-    x, y = sorted((a, b), key=lambda s: (len(s), s))
-    return difflib.SequenceMatcher(None, x, y, autojunk=False).ratio()
+    if (len(b), b) < (len(a), a):
+        a, b = b, a
+    length = len(a) + len(b)
+    if not length:
+        return 1.0
+    positions: dict[str, list[int]] = {}
+    for j, ch in enumerate(b):
+        positions.setdefault(ch, []).append(j)
+    return 2.0 * _matched(a, positions, (0, len(a), 0, len(b))) / length
+
+
+def _matched(a: str, positions: dict[str, list[int]], window) -> int:
+    """Characters matched when ``a[alo:ahi]`` and ``b[blo:bhi]``, for the
+    ``window`` (alo, ahi, blo, bhi), are split at their longest common
+    block, and the parts left and right of it likewise; ``b`` is given
+    by the ascending ``positions`` of each of its characters.
+
+    The longest block is the first one found scanning ``i`` then ``j``
+    ascending, as difflib's ``find_longest_match`` keeps it, so the
+    blocks are difflib's with no junk. A stack of windows replaces the
+    recursion, whose depth grows with the number of blocks.
+    """
+    matched = 0
+    stack = [window]
+    while stack:
+        alo, ahi, blo, bhi = stack.pop()
+        besti = bestj = size = 0
+        # ending[j]: length of the common block that ends at a[i - 1] and b[j]
+        ending: dict[int, int] = {}
+        for i in range(alo, ahi):
+            here = {}
+            for j in positions.get(a[i], ()):
+                if j < blo:
+                    continue
+                if j >= bhi:
+                    break
+                k = here[j] = ending.get(j - 1, 0) + 1
+                if k > size:
+                    besti, bestj, size = i - k + 1, j - k + 1, k
+            ending = here
+        if size:
+            matched += size
+            if alo < besti and blo < bestj:
+                stack.append((alo, besti, blo, bestj))
+            if besti + size < ahi and bestj + size < bhi:
+                stack.append((besti + size, ahi, bestj + size, bhi))
+    return matched
 
 
 def _fold(s: str) -> str:
@@ -233,25 +279,27 @@ def _best_category(folded: str, inventory: PreparedInventory) -> tuple[str | Non
     ``inventory.exact``, before any bound is computed: the answer
     scoring every entry gives.
 
-    Otherwise, best-first search. Every entry gets an upper bound on its
-    ratio 2*M/(|a|+|b|) from the size of the two strings' common
-    character multiset (difflib's quick_ratio), read for all entries at
-    once from the inventory's packed lanes (``_shared_counts``), and
-    entries are visited by descending bound, then by inventory position.
-    Before an entry is scored, a tighter bound replaces M by the length
-    of the longest common subsequence: the matched blocks appear in the
-    same order in both strings, so M <= LCS <= the common multiset. Both
-    bounds use the ratio's own float expression, so neither is ever
-    below the ratio. |a|+|b| is never 0 here: "" against an entry folded
-    to "" is an exact hit.
+    Otherwise, best-first search over two upper bounds on the ratio
+    2*M/(|a|+|b|). The looser one puts the size of the two strings'
+    common character multiset (difflib's quick_ratio) in place of M and
+    is read for all entries at once from the inventory's packed lanes
+    (``_shared_counts``). The tighter one puts the length of their
+    longest common subsequence in place of M: the matched blocks appear
+    in the same order in both strings, so M <= LCS <= the common
+    multiset. Both bounds use the ratio's own float expression, so
+    neither is ever below the ratio. |a|+|b| is never 0 here: "" against
+    an entry folded to "" is an exact hit.
 
-    A score replaces the best when it is greater, or equal at an
-    earlier position. The search stops at the first entry whose bound
-    is below the best score, since every later one is bounded by it,
-    and skips an entry whose bound equals the best score at a later
-    position, since it could at most tie and lose. So the chosen entry,
-    its score and the earliest-position tie-break are exactly those of
-    scoring every entry.
+    The first entry of highest multiset bound is scored first. Every
+    other entry whose multiset bound still reaches that score gets its
+    LCS bound, and those are visited by descending LCS bound, then by
+    inventory position. A score replaces the best when it is greater,
+    or equal at an earlier position. The search stops at the first
+    entry whose bound is below the best score, since every later one is
+    bounded by it, and skips an entry whose bound equals the best score
+    at a later position, since it could at most tie and lose. So the
+    chosen entry, its score and the earliest-position tie-break are
+    exactly those of scoring every entry.
     """
     entries = inventory.entries
     hit = inventory.exact.get(folded)
@@ -264,17 +312,19 @@ def _best_category(folded: str, inventory: PreparedInventory) -> tuple[str | Non
     ]
     if not bounds:
         return None, 0.0
-    # The first entry in visiting order is always scored, and nothing
-    # bounded below its score is ever reached, so only the rest of the
-    # entries at or above that score are sorted.
     best_index = bounds.index(max(bounds))
     best, text, _ = entries[best_index]
     best_score = similarity(folded, text)
-    order = [
-        (-bound, index)
-        for index, bound in enumerate(bounds)
-        if bound >= best_score and index != best_index
-    ]
+    order = []
+    for index, bound in enumerate(bounds):
+        if bound < best_score or index == best_index:
+            continue
+        if bound == best_score and index > best_index:
+            continue
+        _, text, masks = entries[index]
+        bound = 2.0 * _lcs_length(folded, masks, len(text)) / (size + len(text))
+        if bound > best_score or (bound == best_score and index < best_index):
+            order.append((-bound, index))
     order.sort()
     for negated_bound, index in order:
         bound = -negated_bound
@@ -282,10 +332,7 @@ def _best_category(folded: str, inventory: PreparedInventory) -> tuple[str | Non
             break
         if bound == best_score and index > best_index:
             continue
-        entry, text, masks = entries[index]
-        bound = 2.0 * _lcs_length(folded, masks, len(text)) / (size + len(text))
-        if bound < best_score or (bound == best_score and index > best_index):
-            continue
+        entry, text, _ = entries[index]
         score = similarity(folded, text)
         if score > best_score or (score == best_score and index < best_index):
             best, best_score, best_index = entry, score, index

@@ -1,13 +1,14 @@
 """Shared test utilities: random graph generation, independent oracles,
 and the files of the committed replay grid.
 
-Apart from ``load_document`` and ``e2e_grid_toml`` at the end, a loader
-and a file builder, everything here is deliberately written against the
-raw definitions (no calls into the implementation paths it checks): the gestalt reference
-recurses on longest matching blocks directly, the F tail integrates the
-density by adaptive quadrature, the graph renderer emits Penman text
-straight from a generated structure, and the list and UMR references
-scan their text character by character.
+Apart from ``load_document``, ``GRID_DIGESTS`` and ``e2e_grid_toml`` at
+the end, a loader, the replay grid's pins and a file builder, everything
+here is deliberately written against the raw definitions (no calls
+into the implementation paths it checks): the gestalt reference recurses
+on longest matching blocks directly, the F tail integrates the density
+by adaptive quadrature, the graph renderer emits Penman text straight
+from a generated structure, and the list and UMR references scan their
+text character by character.
 """
 
 from __future__ import annotations
@@ -699,6 +700,20 @@ def load_document(path) -> UmrDocument:
 
 
 E2E = Path(__file__).parent / "fixtures" / "e2e"
+
+# results_sha256 of each committed replay grid cell; the benchmark pins
+# the same eight values, and CI checks them in an install without test
+# extras, so this file imports none
+GRID_DIGESTS = {
+    ("Laptop16", "baseline"): "b35aa677fbcfdef0a21f360cef6965c5fe02f1bd37dc3f03fd39c5acce662493",
+    ("Laptop16", "umr"): "61771eadb06e5201c3f9179b7e138cb51eb2bcff886dd70c12f86feccb07a27f",
+    ("MAMS", "baseline"): "629f6c6a07a44e599f120c22130d98897ff20eda50aa7de277631f09d044e72f",
+    ("MAMS", "umr"): "10e16887266fb307f39b4794960b075b11c086079c70880b767122b270a9f644",
+    ("Restaurant16", "baseline"): "3b23fc2ef76adbf55e7fd474ff61c765521df314b9400432b1c343a8dfd7facc",
+    ("Restaurant16", "umr"): "deee417bc8f8ca46172e47a86f80ee42eadfbaf06c034c3189a2e8a9947da168",
+    ("Shoes", "baseline"): "c3a34c8cc7837524d0bdd34aca42b30db0ee7110e52c78cd7abfbf88e989f492",
+    ("Shoes", "umr"): "d67d59f3419bbccd1238490d01b64361f80d6587cac3e82ae97d76380496e60f",
+}
 
 
 def e2e_grid_toml(out_dir: Path, methods=("baseline", "umr")) -> str:

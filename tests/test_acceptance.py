@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 from helpers import (
+    GRID_DIGESTS,
     e2e_grid_toml,
     f_upper_tail_quadrature,
     gestalt_reference,
@@ -400,20 +401,6 @@ def _e2e_config(meta, dataset, method, out_dir: Path) -> RunConfig:
         if method == "umr"
         else (),
     )
-
-
-# results_sha256 of each committed replay grid cell; the benchmark pins
-# the same eight values
-GRID_DIGESTS = {
-    ("Laptop16", "baseline"): "b35aa677fbcfdef0a21f360cef6965c5fe02f1bd37dc3f03fd39c5acce662493",
-    ("Laptop16", "umr"): "61771eadb06e5201c3f9179b7e138cb51eb2bcff886dd70c12f86feccb07a27f",
-    ("MAMS", "baseline"): "629f6c6a07a44e599f120c22130d98897ff20eda50aa7de277631f09d044e72f",
-    ("MAMS", "umr"): "10e16887266fb307f39b4794960b075b11c086079c70880b767122b270a9f644",
-    ("Restaurant16", "baseline"): "3b23fc2ef76adbf55e7fd474ff61c765521df314b9400432b1c343a8dfd7facc",
-    ("Restaurant16", "umr"): "deee417bc8f8ca46172e47a86f80ee42eadfbaf06c034c3189a2e8a9947da168",
-    ("Shoes", "baseline"): "c3a34c8cc7837524d0bdd34aca42b30db0ee7110e52c78cd7abfbf88e989f492",
-    ("Shoes", "umr"): "d67d59f3419bbccd1238490d01b64361f80d6587cac3e82ae97d76380496e60f",
-}
 
 
 def test_acceptance_8_end_to_end_replay(tmp_path):

@@ -3,6 +3,7 @@ import json
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import requests
@@ -119,6 +120,23 @@ class TestChatClient:
         path.write_text(json.dumps(payload), "utf-8")
         with pytest.raises(CacheCorrupt):
             client.chat(request)
+
+    def test_directory_at_cache_path_is_corrupt(self, tmp_path):
+        request = make_request()
+        (tmp_path / "cache" / f"{request.cache_key}.json").mkdir(parents=True)
+        backend = FakeBackend()
+        with pytest.raises(CacheCorrupt):
+            ChatClient(backend, cache_dir=tmp_path / "cache").chat(request)
+        assert backend.calls == 0
+
+    def test_file_gone_after_an_existence_check_is_a_miss(self, tmp_path, monkeypatch):
+        # every existence check says yes, as if the file was removed after
+        # it; the lookup opens the file and takes its absence as a miss
+        monkeypatch.setattr(Path, "exists", lambda self, **kwargs: True)
+        backend = FakeBackend()
+        client = ChatClient(backend, cache_dir=tmp_path / "cache")
+        assert client.chat(make_request()).backend == "fake"
+        assert backend.calls == 1
 
     def test_request_coalescing(self, tmp_path):
         backend = FakeBackend()
@@ -247,6 +265,17 @@ class TestReplayBackend:
         client = ChatClient(ReplayBackend(tmp_path))
         with pytest.raises(MissingFixture):
             client.chat(make_request())
+
+    def test_fixture_gone_after_an_existence_check_is_missing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(Path, "exists", lambda self, **kwargs: True)
+        with pytest.raises(MissingFixture):
+            ChatClient(ReplayBackend(tmp_path)).chat(make_request())
+
+    def test_directory_at_fixture_path_is_corrupt(self, tmp_path):
+        request = make_request()
+        (tmp_path / f"{request.cache_key}.json").mkdir()
+        with pytest.raises(CacheCorrupt):
+            ChatClient(ReplayBackend(tmp_path)).chat(request)
 
     def test_fixture_format_is_cache_format(self, tmp_path):
         request = make_request()

@@ -1,3 +1,4 @@
+import difflib
 import itertools
 import json
 import random
@@ -89,22 +90,26 @@ def _reference_lcs(a, b):
 
 
 def _reference_scored(folded, texts):
-    """The folded entries, in order, that best-first search over a full
-    (-bound, index) sort scores with ``similarity``, with every bound
-    from the reference definitions."""
+    """The folded entries, in order, that the LCS-ordered search scores
+    with ``similarity``, with every bound from the reference definitions:
+    the first entry of highest multiset bound, then, of the entries whose
+    multiset bound reaches its score, a full (-LCS bound, index) sort."""
     size, have = len(folded), Counter(folded)
+    shared = [
+        2.0 * sum(min(n, have[ch]) for ch, n in Counter(text).items()) / (size + len(text))
+        for text in texts
+    ]
+    best_index = min(range(len(texts)), key=lambda i: (-shared[i], i))
+    best_score, scored = similarity(folded, texts[best_index]), [texts[best_index]]
     order = sorted(
-        (-2.0 * sum(min(n, have[ch]) for ch, n in Counter(text).items()) / (size + len(text)), i)
-        for i, text in enumerate(texts)
+        (-2.0 * _reference_lcs(folded, texts[i]) / (size + len(texts[i])), i)
+        for i in range(len(texts))
+        if i != best_index and shared[i] >= best_score
     )
-    best_score, best_index, scored = -1.0, len(texts), []
     for negated_bound, i in order:
         if -negated_bound < best_score:
             break
         if -negated_bound == best_score and i > best_index:
-            continue
-        bound = 2.0 * _reference_lcs(folded, texts[i]) / (size + len(texts[i]))
-        if bound < best_score or (bound == best_score and i > best_index):
             continue
         scored.append(texts[i])
         score = similarity(folded, texts[i])
@@ -307,8 +312,43 @@ class TestSimilarity:
         for _ in range(500):
             a = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 18)))
             b = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 18)))
-            assert abs(similarity(a, b) - gestalt_reference(a, b)) <= 1e-12
+            assert similarity(a, b) == gestalt_reference(a, b)
             assert similarity(a, b) == similarity(b, a)
+
+    @staticmethod
+    def _difflib_ratio(a, b):
+        x, y = sorted((a, b), key=lambda s: (len(s), s))
+        return difflib.SequenceMatcher(None, x, y, autojunk=False).ratio()
+
+    def test_equals_difflib_bit_for_bit(self):
+        # casefold and upper turn "ß", "ﬁ" and "İ" into two characters
+        rng = random.Random(2629)
+        alphabets = ("abc#_-/ ", "ab", "food#quality_ ", "aßﬁİé漢#_ ", "laptop#general_price")
+        folds = (str, str.casefold, str.upper, _fold)
+        for _ in range(20_000):
+            alphabet, fold = rng.choice(alphabets), rng.choice(folds)
+            a, b = (
+                fold("".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 24))))
+                for _ in range(2)
+            )
+            assert similarity(a, b) == self._difflib_ratio(a, b), (a, b)
+        for a, b in (("", ""), ("", "a#b"), ("ß", "SS"), ("ﬁle", "file"), ("İ", "i̇")):
+            assert similarity(a, b) == self._difflib_ratio(a, b), (a, b)
+
+    def test_long_strings_equal_difflib(self):
+        # every block of the chain is one character with the rest of both
+        # strings right of it, so the windows nest 1 500 deep, past the
+        # interpreter's default recursion limit
+        chain = "".join(map(chr, range(0x100, 0x100 + 1500)))
+        spaced = "".join(ch + chr(0x1000 + i) for i, ch in enumerate(chain))
+        rng = random.Random(4000)
+        pairs = [
+            (chain, spaced),
+            ("abc" * 100, "acb" * 100),
+            tuple("".join(rng.choice("ab") for _ in range(4000)) for _ in range(2)),
+        ]
+        for a, b in pairs:
+            assert similarity(a, b) == self._difflib_ratio(a, b), (len(a), len(b))
 
     def test_bounds(self):
         rng = random.Random(99)
@@ -425,8 +465,10 @@ class TestBestCategoryMatchesExhaustiveSearch:
         assert len(calls) == 1
 
     def test_scores_what_a_full_sort_scores(self, monkeypatch):
-        # only the entries at or above the first score are sorted; the
-        # entries scored, and their order, are those of sorting them all
+        # the search skips an equal multiset bound at a later position
+        # before computing its LCS bound, and sorts only the survivors; the
+        # entries scored, and their order, are those of the reference, which
+        # sorts every entry whose multiset bound reaches the first score
         scored = []
 
         def recording_similarity(a, b):
