@@ -1,0 +1,149 @@
+"""Check that the tests still kill a kept list of mutants.
+
+Each mutant names a file under the repository root, an ``old`` string
+that must occur exactly once in it, the ``new`` string that replaces it,
+and the pytest selector whose tests must fail on the mutated code. For
+each mutant the script copies the tree into a temporary directory (the
+checkout is never edited), applies the edit there, and runs ``python -m
+pytest -x -q`` on the selector with that copy's ``src`` first on the
+import path. A mutant is killed when pytest reports failing tests (exit
+1); a passing run is a survivor, and any other exit (no tests collected,
+a usage error) is an error. An ``old`` string that no longer occurs
+exactly once is an error too, never a skip: code that moves takes its
+mutant along.
+
+Usage: python scripts/mutants.py
+
+Exits 1 on any survivor or error. Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    selector: str
+
+
+MUTANTS = (
+    Mutant(
+        "search-lanes-without-guard-bit",
+        "src/acsa_harness/postprocess.py",
+        "self.width = max(self.lengths, default=0) + 1",
+        "self.width = max(self.lengths, default=0) or 1",
+        "tests/test_postprocess.py::TestPackedLanes",
+    ),
+    Mutant(
+        "search-stops-at-equal-bound",
+        "src/acsa_harness/postprocess.py",
+        "        if bound < best_score:\n            break",
+        "        if bound <= best_score:\n            break",
+        "tests/test_postprocess.py::TestBestCategoryMatchesExhaustiveSearch",
+    ),
+    Mutant(
+        "search-scores-by-bound",
+        "src/acsa_harness/postprocess.py",
+        "        entry, text = entries[index]\n        score = similarity(folded, text)",
+        "        entry, text = entries[index]\n        score = bound",
+        "tests/test_postprocess.py::TestBestCategoryMatchesExhaustiveSearch",
+    ),
+    Mutant(
+        "cache-file-not-an-object",
+        "src/acsa_harness/llm.py",
+        "    if not isinstance(payload, dict):\n",
+        "    if False:\n",
+        "tests/test_llm.py::TestChatClient::test_json_that_is_not_a_cache_object_is_corrupt",
+    ),
+    Mutant(
+        "cache-response-not-an-object",
+        "src/acsa_harness/llm.py",
+        "    if not isinstance(response, dict):\n",
+        "    if False:\n",
+        "tests/test_llm.py::TestChatClient::test_json_that_is_not_a_cache_object_is_corrupt",
+    ),
+    Mutant(
+        "results-record-not-an-object",
+        "src/acsa_harness/runner.py",
+        "            if not isinstance(record, dict):\n",
+        "            if False:\n",
+        "tests/test_runner.py::TestScoreRun::test_record_that_is_not_an_object_is_a_data_error",
+    ),
+    Mutant(
+        "shoes-blank-category",
+        "src/acsa_harness/datasets.py",
+        "                if not category.strip():\n",
+        "                if not category:\n",
+        "tests/test_datasets.py::TestShoes::test_blank_category",
+    ),
+    Mutant(
+        "xml-blank-category",
+        "src/acsa_harness/datasets.py",
+        "if not category or not category.strip():",
+        "if not category:",
+        "tests/test_datasets.py::TestSemeval::test_blank_category",
+    ),
+)
+
+_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".work", "*.egg-info")
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Replace the mutant's ``old`` string in its file under ``root``,
+    raising ValueError unless it occurs exactly once."""
+    target = root / mutant.path
+    text = target.read_text("utf-8")
+    found = text.count(mutant.old)
+    if found != 1:
+        raise ValueError(f"{mutant.name}: old string occurs {found} times in {mutant.path}")
+    target.write_text(text.replace(mutant.old, mutant.new), "utf-8")
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived' or an error message for one mutant."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
+        tree = Path(scratch) / "tree"
+        shutil.copytree(ROOT, tree, ignore=_IGNORE)
+        try:
+            apply(mutant, tree)
+        except ValueError as err:
+            return f"error: {err}"
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        done = subprocess.run(
+            [*command, mutant.selector], cwd=tree, env=env, capture_output=True, text=True
+        )
+    if done.returncode == 1:
+        return "killed"
+    if done.returncode == 0:
+        return "survived"
+    tail = (done.stdout + done.stderr).strip().splitlines()[-1:]
+    return f"error: pytest exit {done.returncode} {' '.join(tail)}"
+
+
+def main() -> int:
+    bad = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        outcome = run(mutant)
+        print(f"{outcome:10} {mutant.name} ({time.perf_counter() - start:.1f} s)", flush=True)
+        bad += outcome != "killed"
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -201,7 +201,7 @@ def load_xml(
                 if opinions is not None:
                     for opinion in opinions.findall(element):
                         category = opinion.get("category")
-                        if not category:
+                        if not category or not category.strip():
                             raise MissingCategoryAttribute(
                                 f"sentence {sid!r}: {element} element without category attribute"
                             )
@@ -292,6 +292,8 @@ def load_shoes(
                 raise MalformedRecord(f"{where}: record has empty text")
             pairs = set()
             for category, raw_pol in raw_pairs:
+                if not category.strip():
+                    raise MalformedRecord(f"{where}: blank category")
                 polarity = _resolve_polarity(raw_pol, where, drop_conflict)
                 if polarity is None:
                     dropped += 1

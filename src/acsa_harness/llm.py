@@ -183,9 +183,13 @@ def read_cache_file(path: Path, expected_hash: str) -> str:
         raise
     except (OSError, json.JSONDecodeError) as err:
         raise CacheCorrupt(f"{path}: unreadable cache file ({err})") from err
+    if not isinstance(payload, dict):
+        raise CacheCorrupt(f"{path}: cache file is not a JSON object")
     if payload.get("request_hash") != expected_hash:
         raise CacheCorrupt(f"{path}: stored request hash does not match {expected_hash}")
     response = payload.get("response") or {}
+    if not isinstance(response, dict):
+        raise CacheCorrupt(f"{path}: stored response is not a JSON object")
     text = response.get("text")
     if not isinstance(text, str):
         raise CacheCorrupt(f"{path}: missing response text")

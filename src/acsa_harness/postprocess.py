@@ -16,11 +16,7 @@ escapes the character after it, a newline included.
 from __future__ import annotations
 
 import re
-import sys
-from array import array
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .datasets import Pair, Polarity
 
@@ -182,92 +178,65 @@ def _fold(s: str) -> str:
 class PreparedInventory:
     """An inventory prepared once for the fuzzy search.
 
-    Each entry is kept with its folded spelling and, per character, the
-    bitmask of its positions (for the LCS bound). ``exact`` maps each
+    Each entry is kept with its folded spelling, and ``exact`` maps each
     folded spelling to the position of its first entry.
 
-    For the shared-character bound, character counts are packed across
-    entries: ``lanes[ch][h]`` is one int whose lane i holds
-    ``min(count of ch in entry i, h)``, for h from 0 up to the largest
-    count of ``ch`` in any entry. Adding up, for each distinct character
-    of a candidate, the int at the candidate's count of it (capped at
-    that largest count) leaves in lane i the number of characters the
-    candidate shares with entry i. The lanes lie as the items of an
-    ``array`` of typecode ``lane_code`` in native byte order, so
-    ``int.to_bytes(lane_bytes, sys.byteorder)`` reads them back. The
-    typecode is the first of ``B``, ``H``, ``I``, ``Q`` whose range
-    holds the longest folded entry: 8-bit lanes below 256 characters,
-    16-bit ones from 256. A lane's sum never exceeds its entry's length,
-    so it never carries into the next lane.
+    For the LCS bound, the entries lie side by side in one integer per
+    character: lane i, the ``width`` bits from bit ``i * width`` up,
+    belongs to entry i, and ``masks[ch]`` holds in each lane the
+    positions of ``ch`` in that entry. ``full`` holds in lane i the
+    ones of all of entry i's positions. Every lane is at least one bit
+    wider than the longest folded entry, so a carry out of an entry's
+    positions stops in its own lane, on a bit ``full`` clears.
 
     A run prepares its category inventory once; nothing changes it
     afterwards, so one instance can be shared across threads.
     """
 
-    __slots__ = ("entries", "lengths", "exact", "lanes", "lane_code", "lane_bytes")
+    __slots__ = ("entries", "lengths", "exact", "masks", "full", "width")
 
     def __init__(self, inventory):
-        folded = [(entry, _fold(entry)) for entry in inventory]
-        self.lengths = tuple(len(text) for _, text in folded)
-        longest = max(self.lengths, default=0)
-        self.lane_code = next(c for c in "BHIQ" if longest < 1 << 8 * array(c).itemsize)
-        zeros = array(self.lane_code, [0]) * len(folded)
-        self.lane_bytes = len(folded) * zeros.itemsize
-        entries = []
+        self.entries = tuple((entry, _fold(entry)) for entry in inventory)
+        self.lengths = tuple(len(text) for _, text in self.entries)
+        self.width = max(self.lengths, default=0) + 1
         self.exact: dict[str, int] = {}
-        # steps[ch][h - 1] holds 1 in the lane of every entry with ch at least h times
-        steps: dict[str, list[array]] = {}
-        for index, (entry, text) in enumerate(folded):
-            masks: dict[str, int] = {}
-            for i, ch in enumerate(text):
-                masks[ch] = masks.get(ch, 0) | 1 << i
-            for ch, mask in masks.items():
-                step = steps.setdefault(ch, [])
-                for h in range(mask.bit_count()):
-                    if h == len(step):
-                        step.append(zeros[:])
-                    step[h][index] = 1
+        self.masks: dict[str, int] = {}
+        self.full = 0
+        for index, (_, text) in enumerate(self.entries):
             self.exact.setdefault(text, index)
-            entries.append((entry, text, masks))
-        self.entries = tuple(entries)
-        self.lanes = {
-            ch: (0, *accumulate(int.from_bytes(ones.tobytes(), sys.byteorder) for ones in step))
-            for ch, step in steps.items()
-        }
+            shift = index * self.width
+            self.full |= ((1 << len(text)) - 1) << shift
+            for i, ch in enumerate(text, shift):
+                self.masks[ch] = self.masks.get(ch, 0) | 1 << i
 
 
-def _lcs_length(candidate: str, masks: dict[str, int], length: int) -> int:
-    """Length of the longest common subsequence of ``candidate`` and the
-    ``length``-character string whose per-character position bitmasks
-    are ``masks``.
+def _lcs_lengths(folded: str, inventory: PreparedInventory) -> list[int]:
+    """Per entry, the length of the longest common subsequence of
+    ``folded`` and the entry's folded spelling, from one pass over
+    ``folded`` for all entries at once.
 
-    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): ``v`` encodes one
-    row of the LCS dynamic program, a zero at bit i marking where the
-    row steps up by one, so the LCS is the number of zero bits.
+    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): in each lane, ``v``
+    encodes one row of the LCS dynamic program, a zero at a position of
+    the entry marking where the row steps up by one, so the LCS is the
+    number of zeros. Each lane stays exact: ``u`` is a subset of ``v``,
+    so ``v - u`` never borrows, and a carry of ``v + u`` out of the
+    entry's positions ends on the lane's next bit, which ``full``
+    clears.
     """
-    full = (1 << length) - 1
+    masks, full = inventory.masks, inventory.full
     v = full
-    for ch in candidate:
+    for ch in folded:
         mask = masks.get(ch)
         if mask:
             u = v & mask
             v = ((v + u) | (v - u)) & full
-    return length - v.bit_count()
-
-
-def _shared_counts(folded: str, inventory: PreparedInventory) -> memoryview:
-    """Per entry, the size of the common character multiset of
-    ``folded`` and the entry's folded spelling, read from the packed
-    lanes with one addition per distinct character of ``folded``.
-    """
-    lanes = inventory.lanes
-    packed = 0
-    for ch, have in Counter(folded).items():
-        by_count = lanes.get(ch)
-        if by_count is not None:
-            packed += by_count[have] if have < len(by_count) else by_count[-1]
-    shared = memoryview(packed.to_bytes(inventory.lane_bytes, sys.byteorder))
-    return shared.cast(inventory.lane_code)
+    steps = full ^ v
+    width = inventory.width
+    lane = (1 << width) - 1
+    return [
+        (steps >> shift & lane).bit_count()
+        for shift in range(0, width * len(inventory.entries), width)
+    ]
 
 
 def _best_category(folded: str, inventory: PreparedInventory) -> tuple[str | None, float]:
@@ -279,27 +248,24 @@ def _best_category(folded: str, inventory: PreparedInventory) -> tuple[str | Non
     ``inventory.exact``, before any bound is computed: the answer
     scoring every entry gives.
 
-    Otherwise, best-first search over two upper bounds on the ratio
-    2*M/(|a|+|b|). The looser one puts the size of the two strings'
-    common character multiset (difflib's quick_ratio) in place of M and
-    is read for all entries at once from the inventory's packed lanes
-    (``_shared_counts``). The tighter one puts the length of their
-    longest common subsequence in place of M: the matched blocks appear
-    in the same order in both strings, so M <= LCS <= the common
-    multiset. Both bounds use the ratio's own float expression, so
-    neither is ever below the ratio. |a|+|b| is never 0 here: "" against
-    an entry folded to "" is an exact hit.
+    Otherwise, best-first search over an upper bound on the ratio
+    2*M/(|a|+|b|) that puts the length of the two strings' longest
+    common subsequence in place of M: the matched blocks appear in the
+    same order in both strings, so M <= LCS. The bound uses the ratio's
+    own float expression, so it is never below the ratio, and it is read
+    for all entries at once from the inventory's packed lanes
+    (``_lcs_lengths``). |a|+|b| is never 0 here: "" against an entry
+    folded to "" is an exact hit.
 
-    The first entry of highest multiset bound is scored first. Every
-    other entry whose multiset bound still reaches that score gets its
-    LCS bound, and those are visited by descending LCS bound, then by
-    inventory position. A score replaces the best when it is greater,
-    or equal at an earlier position. The search stops at the first
-    entry whose bound is below the best score, since every later one is
-    bounded by it, and skips an entry whose bound equals the best score
-    at a later position, since it could at most tie and lose. So the
-    chosen entry, its score and the earliest-position tie-break are
-    exactly those of scoring every entry.
+    The first entry of highest bound is scored first; the others are
+    visited by descending bound, then by inventory position. A score
+    replaces the best when it is greater, or equal at an earlier
+    position. The search stops at the first entry whose bound is below
+    the best score, since every later one is bounded by it, and skips an
+    entry whose bound equals the best score at a later position, since
+    it could at most tie and lose. So the chosen entry, its score and
+    the earliest-position tie-break are exactly those of scoring every
+    entry.
     """
     entries = inventory.entries
     hit = inventory.exact.get(folded)
@@ -308,31 +274,25 @@ def _best_category(folded: str, inventory: PreparedInventory) -> tuple[str | Non
     size = len(folded)
     bounds = [
         2.0 * common / (size + length)
-        for common, length in zip(_shared_counts(folded, inventory), inventory.lengths)
+        for common, length in zip(_lcs_lengths(folded, inventory), inventory.lengths)
     ]
     if not bounds:
         return None, 0.0
     best_index = bounds.index(max(bounds))
-    best, text, _ = entries[best_index]
+    best, text = entries[best_index]
     best_score = similarity(folded, text)
-    order = []
-    for index, bound in enumerate(bounds):
-        if bound < best_score or index == best_index:
-            continue
-        if bound == best_score and index > best_index:
-            continue
-        _, text, masks = entries[index]
-        bound = 2.0 * _lcs_length(folded, masks, len(text)) / (size + len(text))
-        if bound > best_score or (bound == best_score and index < best_index):
-            order.append((-bound, index))
-    order.sort()
+    order = sorted(
+        (-bound, index)
+        for index, bound in enumerate(bounds)
+        if bound >= best_score and index != best_index
+    )
     for negated_bound, index in order:
         bound = -negated_bound
         if bound < best_score:
             break
         if bound == best_score and index > best_index:
             continue
-        entry, text, _ = entries[index]
+        entry, text = entries[index]
         score = similarity(folded, text)
         if score > best_score or (score == best_score and index < best_index):
             best, best_score, best_index = entry, score, index

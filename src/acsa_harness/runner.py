@@ -542,6 +542,8 @@ def read_results(path: str | Path) -> Iterator[tuple[int, str, dict]]:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise RunDataError(f"{path}:{lineno}: invalid JSON ({err})") from err
+            if not isinstance(record, dict):
+                raise RunDataError(f"{path}:{lineno}: record is not a JSON object")
             sid = record.get("sample_id")
             if not isinstance(sid, str):
                 raise RunDataError(f"{path}:{lineno}: record without sample_id")

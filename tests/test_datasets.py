@@ -133,6 +133,13 @@ class TestSemeval:
         with pytest.raises(MissingCategoryAttribute):
             load_xml(path, "Restaurant16")
 
+    def test_blank_category(self, tmp_path):
+        xml = SEMEVAL_XML.replace(' category="SERVICE#GENERAL"', ' category=" \t"')
+        path = tmp_path / "rest.xml"
+        path.write_text(xml, "utf-8")
+        with pytest.raises(MissingCategoryAttribute):
+            load_xml(path, "Restaurant16")
+
     def test_inventory_override(self, tmp_path):
         path = tmp_path / "rest.xml"
         path.write_text(SEMEVAL_XML, "utf-8")
@@ -463,6 +470,21 @@ class TestShoes:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "r1", "pairs": []}', "utf-8")
         with pytest.raises(MalformedRecord):
+            load_shoes(path)
+
+    @pytest.mark.parametrize(
+        "name,line",
+        [
+            ("shoes.tsv", "r1\tThe shoes fit well.\t\tpositive"),
+            ("shoes.tsv", "r1\tThe shoes fit well.\tfit\tpositive\t \tnegative"),
+            ("shoes.jsonl", '{"text": "The shoes fit well.", "pairs": [["", "positive"]]}'),
+            ("shoes.jsonl", '{"text": "The shoes fit well.", "pairs": [[" ", "positive"]]}'),
+        ],
+    )
+    def test_blank_category(self, tmp_path, name, line):
+        path = tmp_path / name
+        path.write_text("\n" + line + "\n", "utf-8")
+        with pytest.raises(MalformedRecord, match=rf"{name}:2: blank category"):
             load_shoes(path)
 
     def test_bad_pair_shape(self, tmp_path):

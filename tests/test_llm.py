@@ -20,6 +20,7 @@ from acsa_harness.llm import (
     RateLimited,
     ReplayBackend,
     TransportError,
+    read_cache_file,
     write_cache_file,
 )
 from acsa_harness.runner import RunConfig, make_backend
@@ -128,6 +129,16 @@ class TestChatClient:
         with pytest.raises(CacheCorrupt):
             ChatClient(backend, cache_dir=tmp_path / "cache").chat(request)
         assert backend.calls == 0
+
+    @pytest.mark.parametrize(
+        "body", ["[]", "null", '"x"', '{"request_hash": "abc", "response": [1]}']
+    )
+    def test_json_that_is_not_a_cache_object_is_corrupt(self, tmp_path, body):
+        path = tmp_path / "abc.json"
+        path.write_text(body, "utf-8")
+        with pytest.raises(CacheCorrupt, match="is not a JSON object") as caught:
+            read_cache_file(path, "abc")
+        assert str(caught.value).startswith(f"{path}: ")
 
     def test_file_gone_after_an_existence_check_is_a_miss(self, tmp_path, monkeypatch):
         # every existence check says yes, as if the file was removed after

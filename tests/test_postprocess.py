@@ -4,7 +4,6 @@ import json
 import random
 import string
 import threading
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -24,8 +23,7 @@ from acsa_harness.postprocess import (
     extract_pair_list,
     _best_category,
     _fold,
-    _lcs_length,
-    _shared_counts,
+    _lcs_lengths,
     normalize_polarity,
     similarity,
 )
@@ -91,20 +89,15 @@ def _reference_lcs(a, b):
 
 def _reference_scored(folded, texts):
     """The folded entries, in order, that the LCS-ordered search scores
-    with ``similarity``, with every bound from the reference definitions:
-    the first entry of highest multiset bound, then, of the entries whose
-    multiset bound reaches its score, a full (-LCS bound, index) sort."""
-    size, have = len(folded), Counter(folded)
-    shared = [
-        2.0 * sum(min(n, have[ch]) for ch, n in Counter(text).items()) / (size + len(text))
-        for text in texts
-    ]
-    best_index = min(range(len(texts)), key=lambda i: (-shared[i], i))
+    with ``similarity``, with every bound from the dynamic program: the
+    first entry of highest LCS bound, then, of the entries whose bound
+    reaches its score, a full (-LCS bound, index) sort."""
+    size = len(folded)
+    bounds = [2.0 * _reference_lcs(folded, text) / (size + len(text)) for text in texts]
+    best_index = min(range(len(texts)), key=lambda i: (-bounds[i], i))
     best_score, scored = similarity(folded, texts[best_index]), [texts[best_index]]
     order = sorted(
-        (-2.0 * _reference_lcs(folded, texts[i]) / (size + len(texts[i])), i)
-        for i in range(len(texts))
-        if i != best_index and shared[i] >= best_score
+        (-bounds[i], i) for i in range(len(texts)) if i != best_index and bounds[i] >= best_score
     )
     for negated_bound, i in order:
         if -negated_bound < best_score:
@@ -436,15 +429,16 @@ class TestBestCategoryMatchesExhaustiveSearch:
             self._check("".join(rng.choice("abc") for _ in range(rng.randrange(1, 6))), inventory)
 
     def test_later_entry_with_equal_bound(self):
-        # "acb" has the higher multiset bound and is scored first; "abx"
-        # then has a bound equal to the best score and an earlier position
+        # "abx" and "acb" share the LCS bound 4/6 and both score it: the
+        # first is scored, and the other's bound equals the best score at a
+        # later position
         self._check("abc", ["abx", "acb"])
         self._check("abc", ["acb", "abx"])
         self._check("ab", ["ab", "ba"])
         self._check("ab", ["ba", "ab"])
         self._check("aba", ["bca", "aab", "baa"])  # LCS 2 exceeds the matched 1 of "bca"
         rng = random.Random(17)
-        for _ in range(500):  # anagrams of one multiset share their bound
+        for _ in range(500):  # anagrams of one base often share their bound
             base = "".join(rng.choice("abc#") for _ in range(rng.randrange(1, 6)))
             inventory = [
                 "".join(rng.sample(base, len(base))) + rng.choice(("", "", "a", "b"))
@@ -465,10 +459,9 @@ class TestBestCategoryMatchesExhaustiveSearch:
         assert len(calls) == 1
 
     def test_scores_what_a_full_sort_scores(self, monkeypatch):
-        # the search skips an equal multiset bound at a later position
-        # before computing its LCS bound, and sorts only the survivors; the
-        # entries scored, and their order, are those of the reference, which
-        # sorts every entry whose multiset bound reaches the first score
+        # the search sorts only the entries whose bound reaches the first
+        # score; the entries scored, and their order, are those of the
+        # reference, which sorts them with bounds from the dynamic program
         scored = []
 
         def recording_similarity(a, b):
@@ -478,7 +471,7 @@ class TestBestCategoryMatchesExhaustiveSearch:
         monkeypatch.setattr(postprocess, "similarity", recording_similarity)
         rng = random.Random(19)
         cases = [(_laptop_style_candidate(rng), LAPTOP_STYLE_INVENTORY) for _ in range(300)]
-        for _ in range(300):  # anagrams of one multiset share their bound
+        for _ in range(300):  # anagrams of one base often share their bound
             base = "".join(rng.choice("abc#") for _ in range(rng.randrange(1, 6)))
             inventory = ["".join(rng.sample(base, len(base))) + rng.choice(("", "a")) for _ in range(8)]
             cases.append(("".join(rng.sample(base, len(base))) + rng.choice(("", "b")), inventory))
@@ -531,12 +524,14 @@ class TestBestCategoryMatchesExhaustiveSearch:
 
     def test_lane_width_switch(self):
         rng = random.Random(20)
-        for length in (255, 256, 300):
-            long_entry = "".join(rng.choice("ab#") for _ in range(length))
+        for length in (7, 8, 63, 64, 255, 256, 5000):
+            # a wider alphabet keeps the exhaustive reference quick at 5000
+            alphabet = "ab#" if length < 1000 else string.ascii_lowercase + "#"
+            long_entry = "".join(rng.choice(alphabet) for _ in range(length))
             inventory = ["a" * 40 + "b", long_entry, "ab#", _typo(rng, long_entry)]
-            assert PreparedInventory(inventory).lane_code == ("B" if length < 256 else "H")
-            # a candidate sharing every character with the long entry
-            # fills its lane to the entry's length
+            longest = max(len(_fold(entry)) for entry in inventory)
+            assert PreparedInventory(inventory).width == longest + 1
+            # a candidate holding the long entry has it all as its LCS
             self._check(long_entry + "ab#", inventory)
             self._check(_typo(rng, long_entry), inventory)
             self._check(long_entry[: length // 2], inventory)
@@ -572,19 +567,15 @@ class TestBestCategoryMatchesExhaustiveSearch:
 
 
 class TestPackedLanes:
-    """The shared-character counts read from the packed lanes equal
-    ``sum(min(n, have))`` per entry."""
+    """Each lane of one packed pass over a multi-entry inventory holds
+    the LCS of the candidate and that lane's entry."""
 
     ALPHABET = "aAbBcß#_-/: "
 
     @staticmethod
     def _check(candidate, inventory):
-        have = Counter(candidate)
-        expected = [
-            sum(min(n, have[ch]) for ch, n in Counter(text).items())
-            for _, text, _ in inventory.entries
-        ]
-        assert list(_shared_counts(candidate, inventory)) == expected, candidate
+        expected = [_reference_lcs(candidate, text) for _, text in inventory.entries]
+        assert _lcs_lengths(candidate, inventory) == expected, candidate
 
     def test_seeded_random_strings(self):
         rng = random.Random(21)
@@ -599,10 +590,13 @@ class TestPackedLanes:
 
     def test_wide_lanes(self):
         rng = random.Random(22)
-        for length in (255, 256, 300, 70000):
-            entries = ["".join(rng.choice("ab") for _ in range(length)), "a", "b" * 3]
+        for length in (7, 8, 63, 64, 255, 256, 300, 5000):
+            # the longest entry sits between two others, so a carry out of
+            # its positions would reach the next lane without a guard bit
+            entries = ["a", "".join(rng.choice("ab") for _ in range(length)), "b" * 3]
             inventory = PreparedInventory(entries)
-            for candidate in ("a" * 70000 + "b" * 70000, entries[0], "ab", "xyz"):
+            # the first two are the long entry itself up to 64 characters
+            for candidate in (entries[1][:64], entries[1][-64:], "ab" * 32, "xyz"):
                 self._check(candidate, inventory)
 
     def test_laptop_style_inventory(self):
@@ -614,16 +608,16 @@ class TestPackedLanes:
 
 
 class TestLcsLength:
-    """The bit-parallel LCS over a prepared entry equals the dynamic
-    program, and its ratio bounds the similarity from above."""
+    """The packed LCS of one entry equals the dynamic program, and its
+    ratio bounds the similarity from above."""
 
     ALPHABET = "aAbBß#_-/: "
 
     def _check(self, candidate, entry):
-        ((_, text, masks),) = PreparedInventory([entry]).entries
-        assert sum(mask.bit_count() for mask in masks.values()) == len(text)
+        inventory = PreparedInventory([entry])
+        ((_, text),) = inventory.entries
         folded = _fold(candidate)
-        got = _lcs_length(folded, masks, len(text))
+        (got,) = _lcs_lengths(folded, inventory)
         assert got == _reference_lcs(folded, text), (candidate, entry)
         total = len(folded) + len(text)
         if total:

@@ -939,6 +939,23 @@ class TestRunFatalFaults:
         assert "HTTP 401" in capsys.readouterr().err  # the AuthError that ended it
         assert 1 <= len(session.post_threads) <= 1 + concurrency
 
+    def test_fixture_that_is_not_an_object_is_a_data_error(self, tmp_path, capsys):
+        config = make_config(tmp_path)
+        write_fixtures(config)
+        job = prepare_jobs(config, _load_split(config))[1]
+        fixture = Path(config.fixture_dir) / f"{job.request.cache_key}.json"
+        fixture.write_text("[]", "utf-8")
+        code = cli.main([
+            "run", "--dataset", "Restaurant16", "--dataset-path", config.dataset_path,
+            "--method", "baseline", "--model", "unit-model", "--backend", "replay",
+            "--fixture-dir", config.fixture_dir, "--seed", "11", "--output", config.output_path,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fixture}: cache file is not a JSON object")
+        assert "Traceback" not in err
+        assert_nothing_written(config)
+
     def test_corrupt_replay_entry_mid_run_leaves_no_temp_file(self, tmp_path, monkeypatch):
         # the first 20 records are written to the temp file before sample 20's
         # corrupt fixture is read on the calling thread
@@ -1016,6 +1033,22 @@ class TestScoreRun:
         with pytest.raises(RunDataError, match=f":5: {message}"):
             score_run(config.output_path, split)
 
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"str"', "null"])
+    def test_record_that_is_not_an_object_is_a_data_error(self, tmp_path, capsys, line):
+        config = make_config(tmp_path)
+        write_fixtures(config)
+        run(config)
+        with open(config.output_path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        code = cli.main([
+            "score", "--results", config.output_path,
+            "--dataset", "Restaurant16", "--dataset-path", config.dataset_path,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config.output_path}:5: record is not a JSON object")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "pairs,message",
