@@ -85,16 +85,51 @@ MUTANTS = (
     Mutant(
         "shoes-blank-category",
         "src/acsa_harness/datasets.py",
-        "                if not category.strip():\n",
-        "                if not category:\n",
+        "                category = category.strip()\n                if not category:\n",
+        "                category = category.strip()\n                if False:\n",
         "tests/test_datasets.py::TestShoes::test_blank_category",
     ),
     Mutant(
         "xml-blank-category",
         "src/acsa_harness/datasets.py",
-        "if not category or not category.strip():",
-        "if not category:",
+        "                        if not category:\n",
+        "                        if False:\n",
         "tests/test_datasets.py::TestSemeval::test_blank_category",
+    ),
+    Mutant(
+        "shoes-category-not-stripped",
+        "src/acsa_harness/datasets.py",
+        "                category = category.strip()\n",
+        "",
+        "tests/test_datasets.py::TestShoes::test_categories_are_stripped",
+    ),
+    Mutant(
+        "xml-category-not-stripped",
+        "src/acsa_harness/datasets.py",
+        'category = (opinion.get("category") or "").strip()',
+        'category = opinion.get("category") or ""',
+        "tests/test_datasets.py::TestSemeval::test_categories_are_stripped",
+    ),
+    Mutant(
+        "categories-that-fold-alike",
+        "src/acsa_harness/datasets.py",
+        "            if j != i:\n",
+        "            if False:\n",
+        "tests/test_datasets.py::TestInventoryAndCounts::test_one_spelling_per_category",
+    ),
+    Mutant(
+        "repeated-hash-sent-to-pool",
+        "src/acsa_harness/llm.py",
+        "send = request.cache_key not in sent and not self.is_cached(request)",
+        "send = not self.is_cached(request)",
+        "tests/test_llm.py::TestChatClient::test_request_coalescing",
+    ),
+    Mutant(
+        "cache-hits-sent-to-pool",
+        "src/acsa_harness/llm.py",
+        "send = request.cache_key not in sent and not self.is_cached(request)",
+        "send = request.cache_key not in sent",
+        "tests/test_runner.py::TestWhereWorkRuns::test_http_run_sends_only_misses_to_pool",
     ),
 )
 

@@ -60,6 +60,15 @@ class CountMismatch(DatasetError):
     pass
 
 
+class DuplicateCategory(DatasetError):
+    pass
+
+
+def _fold(s: str) -> str:
+    """The one spelling by which categories are compared."""
+    return " ".join(s.split()).casefold()
+
+
 class Polarity(str, Enum):
     POSITIVE = "positive"
     NEUTRAL = "neutral"
@@ -90,6 +99,14 @@ class DatasetSplit:
     n_conflict_dropped: int = 0
 
     def __post_init__(self):
+        first: dict[str, int] = {}
+        for i, entry in enumerate(self.categories):
+            j = first.setdefault(_fold(entry), i)
+            if j != i:
+                raise DuplicateCategory(
+                    f"categories {self.categories[j]!r} and {entry!r} "
+                    "differ only in case or spacing"
+                )
         seen_ids = set()
         known = set(self.categories)
         for sample in self.samples:
@@ -200,8 +217,8 @@ def load_xml(
                 opinions = sentence.find(container)
                 if opinions is not None:
                     for opinion in opinions.findall(element):
-                        category = opinion.get("category")
-                        if not category or not category.strip():
+                        category = (opinion.get("category") or "").strip()
+                        if not category:
                             raise MissingCategoryAttribute(
                                 f"sentence {sid!r}: {element} element without category attribute"
                             )
@@ -292,7 +309,8 @@ def load_shoes(
                 raise MalformedRecord(f"{where}: record has empty text")
             pairs = set()
             for category, raw_pol in raw_pairs:
-                if not category.strip():
+                category = category.strip()
+                if not category:
                     raise MalformedRecord(f"{where}: blank category")
                 polarity = _resolve_polarity(raw_pol, where, drop_conflict)
                 if polarity is None:

@@ -7,11 +7,11 @@ written atomically; the replay backend reads fixture files in exactly
 the cache format, which makes whole runs bit-deterministic offline.
 
 ``ChatClient.answers`` is the fetch phase of both ``acsa run`` and
-``acsa warm-cache``. Only HTTP requests run on a thread pool, where
-their network waits overlap. Answers read from local disk (cache hits,
-replay fixtures) are read on the calling thread, one request at a time:
-that work is pure CPU, which threads would only contend for under the
-interpreter lock.
+``acsa warm-cache``. Only HTTP cache misses run on a thread pool, where
+their network waits overlap, and only the first request of each hash.
+Everything else (cache hits, repeats, replay fixtures) is answered on
+the calling thread, one request at a time: reading local disk is pure
+CPU, which threads would only contend for under the interpreter lock.
 """
 
 from __future__ import annotations
@@ -301,9 +301,9 @@ class ReplayBackend:
 class ChatClient:
     """Cache-first chat interface, shareable across worker threads.
 
-    The cache is consulted by request hash before any backend call; on a
-    miss, at most one in-flight backend call runs per distinct hash and
-    the response is persisted before returning.
+    ``chat`` reads the cache by request hash before any backend call and
+    persists a fetched response before returning; it keeps no state
+    between calls. ``answers`` sends each hash at most once at a time.
     """
 
     def __init__(
@@ -315,9 +315,6 @@ class ChatClient:
         self.backend = backend
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.max_concurrency = max_concurrency
-        self._guard = threading.Lock()
-        # request hash -> [lock, number of chat calls holding or waiting for it]
-        self._inflight: dict[str, list] = {}
 
     def _cache_path(self, key: str) -> Path | None:
         if self.cache_dir is None:
@@ -344,27 +341,13 @@ class ChatClient:
         cached = self._cache_lookup(key)
         if cached is not None:
             return ChatResponse(cached, "cache", 0.0)
-        with self._guard:
-            inflight = self._inflight.setdefault(key, [threading.Lock(), 0])
-            inflight[1] += 1
-        try:
-            with inflight[0]:
-                cached = self._cache_lookup(key)
-                if cached is not None:
-                    return ChatResponse(cached, "cache", 0.0)
-                start = time.perf_counter()
-                text = self.backend.complete(request)
-                latency_ms = (time.perf_counter() - start) * 1000.0
-                path = self._cache_path(key)
-                if path is not None:
-                    write_cache_file(path, request, text)
-                return ChatResponse(text, self.backend.name, latency_ms)
-        finally:
-            # the last call out drops the entry; a waiter keeps the same lock
-            with self._guard:
-                inflight[1] -= 1
-                if not inflight[1]:
-                    del self._inflight[key]
+        start = time.perf_counter()
+        text = self.backend.complete(request)
+        latency_ms = (time.perf_counter() - start) * 1000.0
+        path = self._cache_path(key)
+        if path is not None:
+            write_cache_file(path, request, text)
+        return ChatResponse(text, self.backend.name, latency_ms)
 
     def _answer(self, request: ChatRequest, halt: threading.Event | None = None):
         """``chat(request)``, or the per-request fault it raised.
@@ -391,10 +374,11 @@ class ChatClient:
 
         Any backend but HTTP reads the requests one at a time and answers
         each on the calling thread. An HTTP backend reads them all first and
-        submits every cache miss up front to a pool of ``max_concurrency``
-        threads; the cache hits are answered on the calling thread when
-        their turn comes. A run-fatal fault, or closing the generator,
-        cancels the calls still queued.
+        submits up front to a pool of ``max_concurrency`` threads each cache
+        miss whose hash no earlier request has; cache hits and repeats are
+        answered on the calling thread when their turn comes, a repeat after
+        its first occurrence has been read. A run-fatal fault, or closing
+        the generator, cancels the calls still queued.
         """
         if self.backend.name != "http":
             for request in requests:
@@ -405,12 +389,12 @@ class ChatClient:
         # a pool starts its threads on submit, so a call with no network miss starts none
         with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
             try:
-                futures = [
-                    pool.submit(self._answer, request, halt)
-                    if not self.is_cached(request)
-                    else None
-                    for request in requests
-                ]
+                sent: set[str] = set()  # the hashes of the requests before this one
+                futures = []
+                for request in requests:
+                    send = request.cache_key not in sent and not self.is_cached(request)
+                    futures.append(pool.submit(self._answer, request, halt) if send else None)
+                    sent.add(request.cache_key)
                 for i, request in enumerate(requests):
                     future, futures[i] = futures[i], None  # drop each answer once read
                     yield self._answer(request) if future is None else future.result()

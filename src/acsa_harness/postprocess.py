@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .datasets import Pair, Polarity
+from .datasets import Pair, Polarity, _fold
 
 DEFAULT_CUTOFF = 0.6
 
@@ -169,10 +169,6 @@ def _matched(a: str, positions: dict[str, list[int]], window) -> int:
             if besti + size < ahi and bestj + size < bhi:
                 stack.append((besti + size, ahi, bestj + size, bhi))
     return matched
-
-
-def _fold(s: str) -> str:
-    return " ".join(s.split()).casefold()
 
 
 class PreparedInventory:

@@ -204,33 +204,26 @@ class RunConfig:
         return Path(self.output_path).with_suffix(".manifest.json")
 
 
-def parse_flat_config(text: str) -> dict:
-    """Parse the text of a run config file, which is TOML.
+def _read_config_file(path: str | Path) -> dict:
+    """The TOML table of a config or grid file, which must be UTF-8
+    without a byte-order mark.
 
     Only the TOML syntax is checked here; ``RunConfig.update`` checks the
     keys and the value types, so a table or a date is refused there.
     """
     import tomllib  # here, so that a run built from flags alone never loads it
 
-    try:
-        return tomllib.loads(text)
-    except tomllib.TOMLDecodeError as err:
-        raise ConfigError(str(err)) from None
-
-
-def _read_config_file(path: str | Path) -> dict:
-    """The TOML table of a config or grid file, which must be UTF-8
-    without a byte-order mark."""
     # decoded from bytes, as tomllib.load does: read_text would turn a bare
     # CR, which TOML refuses, into a line end
     data = Path(path).read_bytes()
     if data.startswith(codecs.BOM_UTF8):
         raise ConfigError("the file starts with a byte-order mark; save it as UTF-8 without one")
     try:
-        text = data.decode("utf-8")
+        return tomllib.loads(data.decode("utf-8"))
     except UnicodeDecodeError as err:
         raise ConfigError(f"not UTF-8: {err.reason} at byte offset {err.start}") from None
-    return parse_flat_config(text)
+    except tomllib.TOMLDecodeError as err:
+        raise ConfigError(str(err)) from None
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
@@ -314,13 +307,17 @@ class RunSummary:
 
 def _load_split(config: RunConfig) -> ds.DatasetSplit:
     inventory = ds.read_inventory(config.inventory_path) if config.inventory_path else None
-    return ds.load_dataset(
-        config.dataset,
-        config.dataset_path,
-        split=config.split,
-        drop_conflict=config.drop_conflict,
-        inventory=inventory,
-    )
+    try:
+        return ds.load_dataset(
+            config.dataset,
+            config.dataset_path,
+            split=config.split,
+            drop_conflict=config.drop_conflict,
+            inventory=inventory,
+        )
+    except ds.DuplicateCategory as err:
+        source = config.inventory_path or config.dataset_path  # where the categories come from
+        raise ds.DuplicateCategory(f"{source}: {err}") from None
 
 
 def make_backend(config: RunConfig):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 from pathlib import Path
 from xml.etree import ElementTree as ET
@@ -10,6 +11,7 @@ from acsa_harness import datasets as ds
 from acsa_harness.datasets import (
     CountMismatch,
     DatasetError,
+    DuplicateCategory,
     MalformedRecord,
     MalformedXml,
     MissingCategoryAttribute,
@@ -139,6 +141,14 @@ class TestSemeval:
         path.write_text(xml, "utf-8")
         with pytest.raises(MissingCategoryAttribute):
             load_xml(path, "Restaurant16")
+
+    def test_categories_are_stripped(self, tmp_path):
+        xml = SEMEVAL_XML.replace('category="FOOD#QUALITY"', 'category=" FOOD#QUALITY\t"', 1)
+        path = tmp_path / "rest.xml"
+        path.write_text(xml, "utf-8")
+        split = load_xml(path, "Restaurant16")
+        assert split.categories == ("FOOD#QUALITY", "RESTAURANT#PRICES", "SERVICE#GENERAL")
+        assert Pair("FOOD#QUALITY", Polarity.POSITIVE) in split.samples[0].gold
 
     def test_inventory_override(self, tmp_path):
         path = tmp_path / "rest.xml"
@@ -487,6 +497,28 @@ class TestShoes:
         with pytest.raises(MalformedRecord, match=rf"{name}:2: blank category"):
             load_shoes(path)
 
+    @pytest.mark.parametrize(
+        "name,lines",
+        [
+            ("shoes.tsv", ["r1\tThey fit.\tfit\tpositive", "r2\tThey do not.\t fit \tnegative"]),
+            (
+                "shoes.jsonl",
+                [
+                    '{"text": "They fit.", "pairs": [["fit", "positive"]]}',
+                    '{"text": "They do not.", "pairs": [[" fit ", "negative"]]}',
+                ],
+            ),
+        ],
+    )
+    def test_categories_are_stripped(self, tmp_path, name, lines):
+        path = tmp_path / name
+        path.write_text("\n".join(lines), "utf-8")
+        split = load_shoes(path)
+        assert split.categories == ("fit",)
+        assert [sample.gold for sample in split.samples] == [
+            {Pair("fit", Polarity.POSITIVE)}, {Pair("fit", Polarity.NEGATIVE)}
+        ]
+
     def test_bad_pair_shape(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"text": "x", "pairs": [["only-category"]]}', "utf-8")
@@ -509,6 +541,22 @@ class TestInventoryAndCounts:
         path.write_text("FOOD#QUALITY\nFOOD#QUALITY\n", "utf-8")
         with pytest.raises(DatasetError):
             read_inventory(path)
+
+    def test_one_spelling_per_category(self, tmp_path):
+        # two entries that differ only in case or spacing, from the data
+        # or from an inventory file, would leave one of them unpredictable
+        path = tmp_path / "shoes.tsv"
+        path.write_text("r1\tThey fit.\tfit\tpositive\nr2\tThey do not.\tFit\tnegative\n", "utf-8")
+        with pytest.raises(DuplicateCategory, match="^categories 'Fit' and 'fit' differ only"):
+            load_shoes(path)
+        path = tmp_path / "rest.xml"
+        path.write_text(SEMEVAL_XML, "utf-8")
+        for other in ("food#quality", "FOOD#QUALITY ", "FOOD#QUALITY"):
+            inventory = ["FOOD#QUALITY", "SERVICE#GENERAL", other]
+            message = f"categories 'FOOD#QUALITY' and {other!r} differ only in case or spacing"
+            with pytest.raises(DuplicateCategory, match=f"^{re.escape(message)}$"):
+                load_xml(path, "Restaurant16", inventory=inventory)
+        assert ds.DatasetSplit("x", "test", (), ("fit", "fits")).categories == ("fit", "fits")
 
     def test_verify_official_counts_mismatch(self, tmp_path):
         path = tmp_path / "rest.xml"

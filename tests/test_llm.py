@@ -1,6 +1,5 @@
 import hashlib
 import json
-import sys
 import threading
 import time
 from pathlib import Path
@@ -33,27 +32,34 @@ def make_request(user="hello", temperature=0.0, top_p=1.0):
 
 
 class FakeBackend:
-    name = "fake"
+    """Counts its calls and the most that ran at once. Named ``http``, it
+    takes ``ChatClient.answers`` onto the worker pool. While counted as
+    running, a call sleeps ``delay`` seconds and then waits at ``barrier``,
+    if one is set."""
 
-    def __init__(self, reply="reply text"):
+    def __init__(self, reply="reply text", name="fake"):
         self.reply = reply
+        self.name = name
         self.calls = 0
         self.concurrent = 0
         self.max_concurrent = 0
         self._lock = threading.Lock()
         self.delay = 0.0
+        self.barrier = None
 
     def complete(self, request):
-        import time
-
         with self._lock:
             self.calls += 1
             self.concurrent += 1
             self.max_concurrent = max(self.max_concurrent, self.concurrent)
-        if self.delay:
-            time.sleep(self.delay)
-        with self._lock:
-            self.concurrent -= 1
+        try:
+            if self.delay:
+                time.sleep(self.delay)
+            if self.barrier is not None:
+                self.barrier.wait(timeout=5)
+        finally:
+            with self._lock:
+                self.concurrent -= 1
         return f"{self.reply}:{request.user}"
 
 
@@ -150,80 +156,55 @@ class TestChatClient:
         assert backend.calls == 1
 
     def test_request_coalescing(self, tmp_path):
-        backend = FakeBackend()
+        backend = FakeBackend(name="http")
         backend.delay = 0.05
         client = ChatClient(backend, cache_dir=tmp_path / "cache", max_concurrency=8)
-        request = make_request()
-        results = []
-        threads = [
-            threading.Thread(target=lambda: results.append(client.chat(request).text))
-            for _ in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert backend.calls == 1  # at most one in-flight call per request hash
-        assert set(results) == {"reply text:hello"}
+        answers = list(client.answers([make_request() for _ in range(8)]))
+        assert backend.calls == 1  # a repeated hash is not sent to the pool
+        assert [answer.backend for answer in answers] == ["http"] + ["cache"] * 7
+        assert {answer.text for answer in answers} == {"reply text:hello"}
 
-    def test_inflight_locks_released(self, tmp_path):
-        backend = FakeBackend()
-        backend.delay = 0.05
+    def test_repeat_of_a_failed_call_is_sent_again(self, tmp_path):
+        backend = FakeBackend(name="http")
+        complete = backend.complete
+        tries = []
+
+        def fail_first(request):
+            tries.append(request.user)
+            if len(tries) == 1:
+                raise TransportError("down")
+            return complete(request)
+
+        backend.complete = fail_first
         client = ChatClient(backend, cache_dir=tmp_path / "cache", max_concurrency=8)
-        request = make_request()
-        barrier = threading.Barrier(8)
-        results = []
-
-        def call():
-            barrier.wait(timeout=5)
-            results.append(client.chat(request).backend)
-
-        threads = [threading.Thread(target=call) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=5)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert backend.calls == 1
-        assert sorted(results) == ["cache"] * 7 + ["fake"]
-        assert client._inflight == {}
-        client.chat(make_request(user="other"))
-        assert client._inflight == {}
-
-        def refuse(_request):
-            raise TransportError("down")
-
-        backend.complete = refuse
-        with pytest.raises(TransportError):
-            client.chat(make_request(user="failing"))
-        assert client._inflight == {}
+        first, again, third = client.answers([make_request() for _ in range(3)])
+        assert isinstance(first, TransportError)
+        assert (again.backend, again.text, third.backend) == ("http", "reply text:hello", "cache")
+        assert tries == ["hello", "hello"]
 
     def test_one_call_per_hash_at_a_time_without_cache(self):
-        # staggered arrivals: later calls come while earlier ones finish,
-        # so an entry dropped while others still wait would hand them a second lock
-        backend = FakeBackend()
+        # with no cache each repeat is a call of its own, made only once
+        # the call before it has been read
+        backend = FakeBackend(name="http")
         backend.delay = 0.02
         client = ChatClient(backend, max_concurrency=8)
-        request = make_request()
-
-        def call(i):
-            time.sleep(0.005 * i)
-            client.chat(request)
-
-        threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5)
-            assert not t.is_alive()
+        answers = list(client.answers([make_request() for _ in range(8)]))
+        assert [answer.backend for answer in answers] == ["http"] * 8
         assert backend.calls == 8
         assert backend.max_concurrent == 1
-        assert client._inflight == {}
+
+    def test_repeats_hold_no_pool_thread(self, tmp_path):
+        # [a, a, a, b] at concurrency 2: b's call runs beside a's, for the
+        # repeats of a wait on no worker; a repeat that took the second
+        # worker would leave the barrier one call short
+        backend = FakeBackend(name="http")
+        backend.barrier = threading.Barrier(2)
+        client = ChatClient(backend, cache_dir=tmp_path / "cache", max_concurrency=2)
+        requests_list = [make_request("a")] * 3 + [make_request("b")]
+        answers = list(client.answers(requests_list))
+        assert [answer.backend for answer in answers] == ["http", "cache", "cache", "http"]
+        assert backend.calls == 2
+        assert backend.max_concurrent == 2
 
     def test_distinct_requests_run_concurrently(self, tmp_path):
         backend = FakeBackend()

@@ -1,7 +1,8 @@
-"""The kept mutants of ``scripts/mutants.py`` still apply to the code;
-whether the tests kill them is the script's own run."""
+"""The kept mutants of ``scripts/mutants.py`` still apply to the code and
+name tests that exist; whether the tests kill them is the script's own run."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,10 @@ _SPEC.loader.exec_module(mutants)
 def test_old_string_occurs_once(mutant):
     assert (ROOT / mutant.path).read_text("utf-8").count(mutant.old) == 1
     assert mutant.new != mutant.old
-    assert (ROOT / mutant.selector.partition("::")[0]).is_file()
+    path, *names = mutant.selector.split("::")
+    source = (ROOT / path).read_text("utf-8")
+    for name in names:  # a test class, then maybe a test in it
+        assert re.search(rf"^ *(class|def) {name}\b", source, re.MULTILINE), name
 
 
 def test_old_string_not_found_is_an_error(tmp_path):

@@ -30,9 +30,9 @@ from acsa_harness.runner import (
     RunConfig,
     RunDataError,
     _load_split,
+    _read_config_file,
     load_config,
     load_grid,
-    parse_flat_config,
     prepare_jobs,
     run,
     score_run,
@@ -289,8 +289,15 @@ def canned_by_text(config: RunConfig) -> dict[str, str]:
     return {sample.text: CANNED[sample.id] for sample in split.samples}
 
 
+def read_toml(tmp_path, text: str) -> dict:
+    """``text`` read as a config file."""
+    path = tmp_path / "config.toml"
+    path.write_text(text, "utf-8")
+    return _read_config_file(path)
+
+
 class TestFlatConfig:
-    def test_parse_values(self):
+    def test_parse_values(self, tmp_path):
         text = (
             '# a comment\n'
             'dataset = "Restaurant16"\n'
@@ -301,7 +308,7 @@ class TestFlatConfig:
             'exemplar_paths = ["a.umr", "b.umr"]\n'
             'base_url = "http://x#y"  # hash inside quotes is kept\n'
         )
-        parsed = parse_flat_config(text)
+        parsed = read_toml(tmp_path, text)
         assert parsed == {
             "dataset": "Restaurant16",
             "seed": 11,
@@ -318,9 +325,9 @@ class TestFlatConfig:
 
     def test_rejects_bad_syntax(self, tmp_path):
         with pytest.raises(ConfigError):
-            parse_flat_config("dataset Restaurant16")
+            read_toml(tmp_path, "dataset Restaurant16")
         with pytest.raises(ConfigError):
-            parse_flat_config('x = "unterminated')
+            read_toml(tmp_path, 'x = "unterminated')
         # valid TOML, refused by RunConfig.update: an unknown key, and an
         # array that is not of strings
         path = tmp_path / "run.toml"
@@ -335,7 +342,7 @@ class TestFlatConfig:
     )
     def test_rejects_duplicate_key(self, tmp_path, text):
         with pytest.raises(ConfigError, match="line 2"):
-            parse_flat_config(text)
+            read_toml(tmp_path, text)
         path = tmp_path / "run.toml"
         path.write_text(text, "utf-8")
         where = rf"^{re.escape(str(path))}: .*\(at line 2, column \d+\)$"
@@ -377,9 +384,9 @@ class TestFlatConfig:
             (r'"\b\f\n\r \" \\ \U0001F600"', '\b\f\n\r " \\ \U0001F600'),
         ],
     )
-    def test_string_escapes(self, quoted, value):
-        assert parse_flat_config(f"fixture_dir = {quoted}") == {"fixture_dir": value}
-        assert parse_flat_config(f"exemplar_paths = [{quoted}, {quoted}]") == {
+    def test_string_escapes(self, tmp_path, quoted, value):
+        assert read_toml(tmp_path, f"fixture_dir = {quoted}") == {"fixture_dir": value}
+        assert read_toml(tmp_path, f"exemplar_paths = [{quoted}, {quoted}]") == {
             "exemplar_paths": [value, value]
         }
 
@@ -406,13 +413,13 @@ class TestFlatConfig:
     )
     def test_rejects_unknown_escape_and_missing_comma(self, tmp_path, line):
         with pytest.raises(ConfigError):
-            parse_flat_config(line)
+            read_toml(tmp_path, line)
         path = tmp_path / "run.toml"
         path.write_text(line + "\n", "utf-8")
         assert cli.main(["run", "--config", str(path)]) == 1
 
-    def test_array_may_end_with_comma(self):
-        assert parse_flat_config('exemplar_paths = ["a",]') == {"exemplar_paths": ["a"]}
+    def test_array_may_end_with_comma(self, tmp_path):
+        assert read_toml(tmp_path, 'exemplar_paths = ["a",]') == {"exemplar_paths": ["a"]}
 
     @pytest.mark.parametrize(
         "key,spelt",
@@ -487,10 +494,10 @@ class TestFlatConfig:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
-    def test_readme_example_lists_every_key(self):
+    def test_readme_example_lists_every_key(self, tmp_path):
         readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
         block = readme.split("```toml\n", 1)[1].split("```", 1)[0]
-        mapping = parse_flat_config(block)
+        mapping = read_toml(tmp_path, block)
         RunConfig.from_mapping(mapping)
         assert sorted(mapping) == sorted(RunConfig.field_names())
 
@@ -806,6 +813,28 @@ class TestWhereWorkRuns:
         records = {sid: record for _, sid, record in runner.read_results(config.output_path)}
         assert records["t:0"]["pairs"] == [["FOOD#QUALITY", "positive"]]
         assert records["t:1"]["pairs"] == [["SERVICE#GENERAL", "negative"]]
+
+    def test_http_run_sends_a_repeated_request_once(self, tmp_path, monkeypatch):
+        # two samples with the same text make the same baseline request
+        sentence = (
+            '<sentence id="{}"><text>The pizza was fantastic.</text><Opinions>'
+            '<Opinion category="FOOD#QUALITY" polarity="positive"/></Opinions></sentence>'
+        )
+        (tmp_path / "rest_test.xml").write_text(
+            f"<Reviews><Review rid=\"1\"><sentences>{sentence.format('r:0')}"
+            f"{sentence.format('r:1')}</sentences></Review></Reviews>",
+            "utf-8",
+        )
+        config = http_config(tmp_path, "repeat", concurrency=4)
+        session = FakeChatSession({"The pizza was fantastic.": CANNED["t:0"]})
+        use_session(monkeypatch, session)
+        summary = run(config)
+        assert len(session.post_threads) == 1
+        assert (summary.n_samples, summary.n_cache_hits) == (2, 1)
+        records = {sid: record for _, sid, record in runner.read_results(config.output_path)}
+        assert records["r:0"]["pairs"] == records["r:1"]["pairs"] == [
+            ["FOOD#QUALITY", "positive"]
+        ]
 
     def test_http_concurrency_does_not_change_output(self, tmp_path, monkeypatch):
         outputs = []
@@ -1166,6 +1195,31 @@ class TestCli:
             assert "Traceback" not in err
         assert answered == []
         assert not cache_dir.exists() and not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("source", ["dataset", "inventory"])
+    def test_categories_that_fold_alike_are_a_data_error(self, tmp_path, capsys, source):
+        config = make_config(tmp_path)
+        write_fixtures(config)
+        dataset_path = Path(config.dataset_path)
+        if source == "dataset":
+            text = MINI_XML.replace('"DRINKS#PRICES"', '"food#quality"')
+            dataset_path.write_text(text, "utf-8")
+            named, pair = dataset_path, "'FOOD#QUALITY' and 'food#quality'"
+        else:
+            named = tmp_path / "inventory.txt"
+            named.write_text("FOOD#QUALITY\nSERVICE#GENERAL\nDRINKS#PRICES\nFit\nFIT\n", "utf-8")
+            config.update({"inventory_path": str(named)})
+            pair = "'Fit' and 'FIT'"
+        message = f"error: {named}: categories {pair} differ only in case or spacing\n"
+        for argv in (
+            ["run", "--config", str(write_config_file(config, tmp_path / "run.toml"))],
+            ["score", "--results", config.output_path, "--dataset", "Restaurant16",
+             "--dataset-path", str(dataset_path)]
+            + (["--inventory", str(named)] if source == "inventory" else []),
+        ):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == message
+        assert_nothing_written(config)
 
     def test_run_exit_code_on_excessive_transport_failures(self, tmp_path):
         config = make_config(tmp_path)
