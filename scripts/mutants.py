@@ -131,6 +131,55 @@ MUTANTS = (
         "send = request.cache_key not in sent",
         "tests/test_runner.py::TestWhereWorkRuns::test_http_run_sends_only_misses_to_pool",
     ),
+    Mutant(
+        "repeat-sent-after-pool-fault",
+        "src/acsa_harness/llm.py",
+        "                    elif faults and request.cache_key in read:\n",
+        "                    elif False:\n",
+        "tests/test_llm.py::TestChatClient::test_repeat_is_not_sent_after_a_pool_fault",
+    ),
+    Mutant(
+        "anova-of-a-single-level-factor",
+        "src/acsa_harness/stats.py",
+        "        if len(factor) < 2:\n",
+        "        if False:\n",
+        "tests/test_stats.py::TestDesign::test_single_level_factor_rejected",
+    ),
+    Mutant(
+        "non-finite-score-read",
+        "src/acsa_harness/metrics.py",
+        "            if not math.isfinite(value):\n",
+        "            if False:\n",
+        "tests/test_metrics.py::TestScoreRows::test_non_finite_score",
+    ),
+    Mutant(
+        "config-file-with-bom-read",
+        "src/acsa_harness/runner.py",
+        "    if data.startswith(codecs.BOM_UTF8):\n",
+        "    if False:\n",
+        "tests/test_runner.py::TestFlatConfig::test_config_file_must_be_utf8_without_bom",
+    ),
+    Mutant(
+        "xml-sentence-fault-without-path",
+        "src/acsa_harness/datasets.py",
+        '        raise type(err)(f"{path}: {err}") from None\n',
+        "        raise\n",
+        "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
+    ),
+    Mutant(
+        "exemplar-fault-without-path",
+        "src/acsa_harness/runner.py",
+        '                err.args = (f"{path}: {err}",)',
+        "                pass",
+        "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
+    ),
+    Mutant(
+        "split-fault-without-path",
+        "src/acsa_harness/runner.py",
+        '        raise type(err)(f"{categories or config.dataset_path}: {err}") from None\n',
+        "        raise\n",
+        "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
+    ),
 )
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".work", "*.egg-info")

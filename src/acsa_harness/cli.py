@@ -193,10 +193,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_anova(args) -> int:
-    grid = metrics.score_table(metrics.read_score_rows(args.cells))
-    table = stats.anova(
-        stats.FactorialDesign(grid.methods, grid.models, grid.datasets, grid.values())
-    )
+    table = stats.anova(metrics.score_table(metrics.read_score_rows(args.cells)))
     if args.json:
         print(json.dumps(stats.anova_to_json(table), indent=2, sort_keys=True))
     else:

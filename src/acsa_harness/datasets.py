@@ -60,7 +60,11 @@ class CountMismatch(DatasetError):
     pass
 
 
-class DuplicateCategory(DatasetError):
+class InvalidSplit(DatasetError):
+    """A fault of a split's own checks, which know no file."""
+
+
+class DuplicateCategory(InvalidSplit):
     pass
 
 
@@ -111,13 +115,13 @@ class DatasetSplit:
         known = set(self.categories)
         for sample in self.samples:
             if sample.id in seen_ids:
-                raise DatasetError(f"duplicate sample id {sample.id!r}")
+                raise InvalidSplit(f"duplicate sample id {sample.id!r}")
             seen_ids.add(sample.id)
             if not sample.text.strip():
-                raise DatasetError(f"sample {sample.id!r} has empty text")
+                raise InvalidSplit(f"sample {sample.id!r} has empty text")
             for pair in sample.gold:
                 if pair.category not in known:
-                    raise DatasetError(
+                    raise InvalidSplit(
                         f"sample {sample.id!r} gold category {pair.category!r} "
                         "is not in the inventory"
                     )
@@ -236,6 +240,8 @@ def load_xml(
                 samples.append(Sample(sid, text.strip(), gold_of.setdefault(gold, gold)))
     except ET.ParseError as err:
         raise MalformedXml(f"{path}: {err}") from err
+    except DatasetError as err:  # a sentence's fault, which names only the sentence
+        raise type(err)(f"{path}: {err}") from None
     return _finish_split(name, split, samples, inventory, dropped)
 
 

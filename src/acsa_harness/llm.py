@@ -349,23 +349,24 @@ class ChatClient:
             write_cache_file(path, request, text)
         return ChatResponse(text, self.backend.name, latency_ms)
 
-    def _answer(self, request: ChatRequest, halt: threading.Event | None = None):
+    def _answer(self, request: ChatRequest, faults: list[BaseException] | None = None):
         """``chat(request)``, or the per-request fault it raised.
 
-        Only pool workers pass ``halt``. A run-fatal fault there sets it
-        before it propagates, and a call dequeued after that returns None
-        without sending anything. That None is never read: answers are read
-        in request order and raise at the failed call, which was queued first.
+        Only pool workers pass ``faults``. A run-fatal fault there is added
+        to it before it propagates, and a call dequeued after that returns
+        None without sending anything. That None is never read: answers are
+        read in request order and raise at the failed call, which was
+        queued first.
         """
-        if halt is not None and halt.is_set():
+        if faults:
             return None
         try:
             return self.chat(request)
         except SAMPLE_FAULTS as err:
             return err
-        except BaseException:
-            if halt is not None:
-                halt.set()
+        except BaseException as err:
+            if faults is not None:
+                faults.append(err)
             raise
 
     def answers(self, requests: Iterable[ChatRequest]) -> Iterator[ChatResponse | LlmError]:
@@ -377,15 +378,17 @@ class ChatClient:
         submits up front to a pool of ``max_concurrency`` threads each cache
         miss whose hash no earlier request has; cache hits and repeats are
         answered on the calling thread when their turn comes, a repeat after
-        its first occurrence has been read. A run-fatal fault, or closing
-        the generator, cancels the calls still queued.
+        its first occurrence has been read. A run-fatal fault in the pool
+        raises in place of the next repeat, which is then never sent. A
+        run-fatal fault, or closing the generator, cancels the calls still
+        queued.
         """
         if self.backend.name != "http":
             for request in requests:
                 yield self._answer(request)
             return
         requests = list(requests)
-        halt = threading.Event()
+        faults: list[BaseException] = []  # the pool's run-fatal fault, once raised
         # a pool starts its threads on submit, so a call with no network miss starts none
         with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
             try:
@@ -393,11 +396,18 @@ class ChatClient:
                 futures = []
                 for request in requests:
                     send = request.cache_key not in sent and not self.is_cached(request)
-                    futures.append(pool.submit(self._answer, request, halt) if send else None)
+                    futures.append(pool.submit(self._answer, request, faults) if send else None)
                     sent.add(request.cache_key)
+                read: set[str] = set()
                 for i, request in enumerate(requests):
                     future, futures[i] = futures[i], None  # drop each answer once read
-                    yield self._answer(request) if future is None else future.result()
+                    if future is not None:
+                        yield future.result()
+                    elif faults and request.cache_key in read:
+                        raise faults[0]
+                    else:
+                        yield self._answer(request)
+                    read.add(request.cache_key)
             except BaseException:
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise

@@ -128,13 +128,6 @@ class ScoreTable:
     datasets: tuple[str, ...]
     scores: dict  # (method, model, dataset) -> percent score
 
-    def values(self) -> tuple[float, ...]:
-        """Every score, the dataset varying fastest and the method slowest."""
-        return tuple(
-            self.scores[key]
-            for key in itertools.product(self.methods, self.models, self.datasets)
-        )
-
 
 def score_table(rows: Iterable[tuple[str, str, str, float]]) -> ScoreTable:
     """The grid of (method, model, dataset, score) rows given in any order.

@@ -57,6 +57,7 @@ from .prompts import build_baseline_prompt, build_umr_prompt, template_version
 from .umr import (
     EXEMPLAR_FILE_COUNT,
     EXEMPLAR_KEEP,
+    UmrError,
     exemplar_draw_indices,
     format_exemplars,
     parse_document,
@@ -315,9 +316,10 @@ def _load_split(config: RunConfig) -> ds.DatasetSplit:
             drop_conflict=config.drop_conflict,
             inventory=inventory,
         )
-    except ds.DuplicateCategory as err:
-        source = config.inventory_path or config.dataset_path  # where the categories come from
-        raise ds.DuplicateCategory(f"{source}: {err}") from None
+    except ds.InvalidSplit as err:
+        # the categories come from the inventory file, if one is named
+        categories = isinstance(err, ds.DuplicateCategory) and config.inventory_path
+        raise type(err)(f"{categories or config.dataset_path}: {err}") from None
 
 
 def make_backend(config: RunConfig):
@@ -359,10 +361,13 @@ def _jobs(config: RunConfig, split: ds.DatasetSplit) -> Iterator[_Job]:
     params = DecodeParams(config.temperature, config.top_p, config.max_output_tokens)
     if config.method == "umr":
         domain = ds.DOMAIN_BY_DATASET[config.dataset]
-        exemplars = [
-            _exemplar(path.name, path.read_text("utf-8"))
-            for path in map(Path, config.exemplar_paths)
-        ]
+        exemplars = []
+        for path in map(Path, config.exemplar_paths):
+            try:
+                exemplars.append(_exemplar(path.name, path.read_text("utf-8")))
+            except UmrError as err:
+                err.args = (f"{path}: {err}",)  # the message names the entry, not the file
+                raise
         draws = exemplar_draw_indices(config.seed, len(split.samples), len(exemplars))
 
         def job(i: int, sample: ds.Sample) -> _Job:

@@ -6,12 +6,16 @@ MS(effect) / MS(three-way interaction). Effect sizes are classical
 eta-squared, SS(effect) / SS(total). Upper-tail F probabilities come from
 the regularized incomplete beta function evaluated by continued fraction.
 
-A FactorialDesign takes a ``metrics.ScoreTable``'s levels and values,
-the table having checked that the grid is complete.
-
-The grid holds a few dozen cells, so everything is pure Python: marginal
-means come from index arithmetic over the flattened cell values and
-every sum goes through ``math.fsum``.
+``decompose`` and ``anova`` read a ``metrics.ScoreTable``, its levels and
+its scores by (method, model, dataset); the table has checked that the
+grid is complete. ``EFFECTS`` names each effect once, with the factors
+it spans. Its sum of squares is its weight, the product of the sizes of
+the factors outside it, times the sum of its squared inclusion-exclusion
+deviations of marginal means; its degrees of freedom are the product of
+(levels - 1) over its factors. The residual is the same rule over all
+three factors. Every sum goes through ``math.fsum``, so a few dozen cells
+need nothing beyond pure Python, and the order of the rows changes no
+bit of the result.
 """
 
 from __future__ import annotations
@@ -20,15 +24,21 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import fsum
+from typing import TYPE_CHECKING
 
-EFFECT_NAMES = (
-    "Method",
-    "Model",
-    "Dataset",
-    "Method:Model",
-    "Method:Dataset",
-    "Model:Dataset",
-)
+if TYPE_CHECKING:
+    from .metrics import ScoreTable
+
+# effect -> the factors it spans, by their place in a cell: method, model, dataset
+EFFECTS = {
+    "Method": (0,),
+    "Model": (1,),
+    "Dataset": (2,),
+    "Method:Model": (0, 1),
+    "Method:Dataset": (0, 2),
+    "Model:Dataset": (1, 2),
+}
+RESIDUAL = (0, 1, 2)  # the three-way interaction
 
 
 class StatsError(Exception):
@@ -41,34 +51,6 @@ class IncompleteDesign(StatsError):
 
 class ZeroResidual(StatsError):
     """All cells fit the additive+two-way model exactly; F is undefined."""
-
-
-@dataclass(frozen=True)
-class FactorialDesign:
-    """Complete crossed design with one observation per cell."""
-
-    methods: tuple[str, ...]
-    models: tuple[str, ...]
-    datasets: tuple[str, ...]
-    values: tuple[float, ...]  # flattened, index = (i * |models| + j) * |datasets| + k
-
-    def __post_init__(self):
-        expected = len(self.methods) * len(self.models) * len(self.datasets)
-        if len(self.values) != expected:
-            raise IncompleteDesign(
-                f"expected {expected} cell values, got {len(self.values)}"
-            )
-        for label, levels in (
-            ("method", self.methods),
-            ("model", self.models),
-            ("dataset", self.datasets),
-        ):
-            if len(levels) < 2:
-                raise IncompleteDesign(
-                    f"factor {label!r} needs at least 2 levels to estimate the error term"
-                )
-            if len(set(levels)) != len(levels):
-                raise IncompleteDesign(f"factor {label!r} has duplicate levels")
 
 
 @dataclass(frozen=True)
@@ -98,88 +80,67 @@ class AnovaTable:
         raise KeyError(name)
 
 
-def decompose(design: FactorialDesign) -> dict[str, float]:
-    """Sums of squares by the standard balanced marginal-means identities.
+def decompose(table: ScoreTable) -> dict[str, float]:
+    """Sums of squares of each effect, the residual and the total, by the
+    balanced marginal-means identities."""
+    levels = table.methods, table.models, table.datasets
+    factors = range(len(levels))
 
-    Cell (i, j, k) is ``values[(i * b + j) * c + k]``, so each marginal
-    mean is an exactly rounded sum over a slice of the flattened values.
-    """
-    y = design.values
-    a, b, c = len(design.methods), len(design.models), len(design.datasets)
-    bc = b * c
-    mu = fsum(y) / len(y)
-    mean_a = [fsum(y[i * bc : (i + 1) * bc]) / bc for i in range(a)]
-    mean_b = [
-        fsum(v for i in range(a) for v in y[(i * b + j) * c : (i * b + j + 1) * c]) / (a * c)
-        for j in range(b)
-    ]
-    mean_c = [fsum(y[k::c]) / (a * b) for k in range(c)]
-    mean_ab = [
-        [fsum(y[(i * b + j) * c : (i * b + j + 1) * c]) / c for j in range(b)]
-        for i in range(a)
-    ]
-    mean_ac = [
-        [fsum(y[i * bc + k : (i + 1) * bc : c]) / b for k in range(c)] for i in range(a)
-    ]
-    mean_bc = [[fsum(y[j * c + k :: bc]) / a for k in range(c)] for j in range(b)]
+    def weight(span: tuple[int, ...]) -> int:  # the cells a mean over span's levels averages
+        return math.prod(len(levels[f]) for f in factors if f not in span)
 
-    def squares(deviations) -> float:
-        return fsum(d * d for d in deviations)
+    means = {}  # a subset of the factors -> its levels -> the mean score at them
+    for size in range(len(levels) + 1):
+        for span in itertools.combinations(factors, size):
+            cells: dict[tuple[str, ...], list[float]] = {}
+            for cell, value in table.scores.items():
+                cells.setdefault(tuple(cell[f] for f in span), []).append(value)
+            means[span] = {key: fsum(values) / weight(span) for key, values in cells.items()}
 
-    return {
-        "Method": bc * squares(m - mu for m in mean_a),
-        "Model": a * c * squares(m - mu for m in mean_b),
-        "Dataset": a * b * squares(m - mu for m in mean_c),
-        "Method:Model": c
-        * squares(
-            mean_ab[i][j] - mean_a[i] - mean_b[j] + mu for i in range(a) for j in range(b)
-        ),
-        "Method:Dataset": b
-        * squares(
-            mean_ac[i][k] - mean_a[i] - mean_c[k] + mu for i in range(a) for k in range(c)
-        ),
-        "Model:Dataset": a
-        * squares(
-            mean_bc[j][k] - mean_b[j] - mean_c[k] + mu for j in range(b) for k in range(c)
-        ),
-        "residual": squares(
-            v
-            - mean_ab[i][j]
-            - mean_ac[i][k]
-            - mean_bc[j][k]
-            + mean_a[i]
-            + mean_b[j]
-            + mean_c[k]
-            - mu
-            for (i, j, k), v in zip(itertools.product(range(a), range(b), range(c)), y)
-        ),
-        "total": squares(v - mu for v in y),
-    }
+    def sum_of_squares(span: tuple[int, ...]) -> float:
+        # a deviation starts at the mean over span's levels, then takes off and
+        # puts back the means over its subsets: the larger first, and those of
+        # one size in factor order
+        subsets = [
+            subset
+            for size in reversed(range(len(span)))
+            for subset in itertools.combinations(span, size)
+        ]
+        squares = []
+        for key, d in means[span].items():
+            level = dict(zip(span, key))
+            for subset in subsets:
+                mean = means[subset][tuple(level[f] for f in subset)]
+                d = d - mean if (len(span) - len(subset)) % 2 else d + mean
+            squares.append(d * d)
+        return weight(span) * fsum(squares)
+
+    ss = {name: sum_of_squares(span) for name, span in EFFECTS.items()}
+    ss["residual"] = sum_of_squares(RESIDUAL)
+    mu = means[()][()]
+    ss["total"] = fsum(d * d for d in (v - mu for v in table.scores.values()))
+    return ss
 
 
-def effect_dfs(design: FactorialDesign) -> dict[str, int]:
-    a = len(design.methods) - 1
-    b = len(design.models) - 1
-    c = len(design.datasets) - 1
-    return {
-        "Method": a,
-        "Model": b,
-        "Dataset": c,
-        "Method:Model": a * b,
-        "Method:Dataset": a * c,
-        "Model:Dataset": b * c,
-        "residual": a * b * c,
-    }
-
-
-def anova(design: FactorialDesign) -> AnovaTable:
+def anova(table: ScoreTable) -> AnovaTable:
     """Full ANOVA table with F tests against the three-way interaction.
 
-    Raises ZeroResidual when the residual sum of squares is (numerically)
-    zero, since the F statistics are then undefined rather than infinite.
+    Raises IncompleteDesign when a factor has a single level, which
+    leaves no degrees of freedom for the error term, and ZeroResidual
+    when the residual sum of squares is (numerically) zero, since the F
+    statistics are then undefined rather than infinite.
     """
-    ss = decompose(design)
-    dfs = effect_dfs(design)
+    levels = table.methods, table.models, table.datasets
+    for label, factor in zip(("method", "model", "dataset"), levels):
+        if len(factor) < 2:
+            raise IncompleteDesign(
+                f"factor {label!r} needs at least 2 levels to estimate the error term"
+            )
+
+    def df(span: tuple[int, ...]) -> int:
+        return math.prod(len(levels[f]) - 1 for f in span)
+
+    ss = decompose(table)
     total = ss["total"]
     residual = ss["residual"]
     if total == 0.0 or residual <= 1e-12 * total:
@@ -187,18 +148,17 @@ def anova(design: FactorialDesign) -> AnovaTable:
             "the three-way interaction sum of squares is zero; "
             "F statistics are undefined for this design"
         )
-    ms_residual = residual / dfs["residual"]
+    residual_df = df(RESIDUAL)
+    ms_residual = residual / residual_df
     effects = []
-    for name in EFFECT_NAMES:
-        df = dfs[name]
-        ms = ss[name] / df
+    for name, span in EFFECTS.items():
+        effect_df = df(span)
+        ms = ss[name] / effect_df
         f_stat = ms / ms_residual
-        p = f_upper_tail(f_stat, df, dfs["residual"])
-        effects.append(EffectStats(name, df, ss[name], ms, f_stat, p, ss[name] / total))
-    mu = fsum(design.values) / len(design.values)
-    return AnovaTable(
-        tuple(effects), dfs["residual"], residual, ms_residual, total, mu
-    )
+        p = f_upper_tail(f_stat, effect_df, residual_df)
+        effects.append(EffectStats(name, effect_df, ss[name], ms, f_stat, p, ss[name] / total))
+    mu = fsum(table.scores.values()) / len(table.scores)
+    return AnovaTable(tuple(effects), residual_df, residual, ms_residual, total, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from acsa_harness.datasets import load_dataset, verify_official_counts
 from acsa_harness.metrics import aggregate, read_score_rows, score, score_table
 from acsa_harness.postprocess import NoListFound, RawPair, extract_pair_list, similarity
 from acsa_harness.runner import RunConfig, load_grid, run, score_run
-from acsa_harness.stats import FactorialDesign, anova, f_upper_tail
+from acsa_harness.stats import anova, f_upper_tail
 from acsa_harness.umr import (
     UmrParseError,
     exemplar_draw_indices,
@@ -178,9 +178,7 @@ def test_acceptance_2_summary_means_from_grid(capsys):
 
 def test_acceptance_3_anova_reproduction():
     budget = _Budget(5.0)
-    grid = score_table(read_score_rows(FIXTURES / "scores_grid.csv"))
-    design = FactorialDesign(grid.methods, grid.models, grid.datasets, grid.values())
-    table = anova(design)
+    table = anova(score_table(read_score_rows(FIXTURES / "scores_grid.csv")))
 
     method = table.effect("Method")
     assert method.df == 1 and table.residual_df == 6

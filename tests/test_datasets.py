@@ -324,12 +324,13 @@ class TestStreamedXmlLoader:
         assert split.n_conflict_dropped > 0
         assert any(s.id.startswith("s") for s in split.samples)  # numbered by position
         assert any(not s.gold for s in split.samples)
-        # both loaders raise the same fault for a conflict that is not dropped
+        # both loaders raise the same fault for a conflict that is not dropped,
+        # and the streamed one names the file before the sentence
         with pytest.raises(UnknownPolarityValue) as streamed:
             load_xml(path, name, **tags)
         with pytest.raises(UnknownPolarityValue) as whole:
             reference_load_xml(path, name, **tags)
-        assert str(streamed.value) == str(whole.value)
+        assert str(streamed.value) == f"{path}: {whole.value}"
 
     def test_missing_ids_are_numbered_by_position(self, tmp_path):
         path = tmp_path / "rest.xml"

@@ -206,6 +206,38 @@ class TestChatClient:
         assert backend.calls == 2
         assert backend.max_concurrent == 2
 
+    def test_repeat_is_not_sent_after_a_pool_fault(self):
+        # [a, a, b] at concurrency 2 with no cache: b's call fails run-fatally
+        # while a's is in flight, and a's call returns only once b's fault
+        # has left the worker; the repeat of a must raise that fault unsent
+        posted = []
+        b_failed = threading.Event()
+
+        class Backend:
+            name = "http"
+
+            def complete(self, request):
+                posted.append(request.user)
+                if request.user == "b":
+                    raise AuthError("HTTP 401")
+                assert b_failed.wait(timeout=5)
+                return "[]"
+
+        class Client(ChatClient):
+            def _answer(self, request, *pool):
+                try:
+                    return super()._answer(request, *pool)
+                finally:
+                    if request.user == "b":
+                        b_failed.set()
+
+        client = Client(Backend(), max_concurrency=2)
+        answers = client.answers([make_request("a"), make_request("a"), make_request("b")])
+        assert next(answers).text == "[]"
+        with pytest.raises(AuthError):
+            next(answers)
+        assert posted == ["a", "b"]
+
     def test_distinct_requests_run_concurrently(self, tmp_path):
         backend = FakeBackend()
         backend.delay = 0.05

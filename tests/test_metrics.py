@@ -148,7 +148,8 @@ class TestScoreTable:
         assert (table.methods, table.models, table.datasets) == (
             ("b", "a"), ("z", "y", "x"), ("q", "p")
         )
-        assert table.values() == tuple(float(i) for i in reversed(range(12)))
+        ordered = itertools.product(table.methods, table.models, table.datasets)
+        assert [table.scores[key] for key in ordered] == [float(i) for i in reversed(range(12))]
 
     def test_no_rows(self):
         with pytest.raises(ValueError, match="no score rows"):

@@ -1166,6 +1166,48 @@ class TestCli:
         inventory.write_text("FOOD#QUALITY\n", "utf-8")  # gold names categories beyond it
         assert cli.main(argv) == 2
 
+    LOADING_FAULTS = {
+        "no-category": "sentence 't:0': Opinion element without category attribute",
+        "polarity": "sentence 't:0': unknown polarity 'great'",
+        "xml-id": "duplicate sample id 't:0'",
+        "jsonl-id": "duplicate sample id 'x'",
+        "inventory": "sample 't:1' gold category 'SERVICE#GENERAL' is not in the inventory",
+        "exemplar": "entry 0: expected '/' after variable 's1a' (line 1, column 6)",
+    }
+
+    @pytest.mark.parametrize("case", LOADING_FAULTS)
+    def test_loading_fault_names_the_file_once(self, tmp_path, capsys, case):
+        config = make_config(tmp_path, "umr" if case == "exemplar" else "baseline")
+        named = Path(config.dataset_path)
+        xml = {
+            "no-category": MINI_XML.replace('category="FOOD#QUALITY" ', "", 1),
+            "polarity": MINI_XML.replace('polarity="positive"', 'polarity="great"', 1),
+            "xml-id": MINI_XML.replace('id="t:1"', 'id="t:0"'),
+        }
+        argv = ["score", "--results", config.output_path, "--dataset", config.dataset,
+                "--dataset-path", config.dataset_path]
+        if case in xml:
+            named.write_text(xml[case], "utf-8")
+            argv = run_argv(config)
+        elif case == "jsonl-id":
+            named = tmp_path / "shoes.jsonl"
+            line = '{"id": "x", "text": "Snug.", "pairs": [["fit", "positive"]]}\n'
+            named.write_text(line * 2, "utf-8")
+            argv[4:] = ["Shoes", "--dataset-path", str(named)]
+        elif case == "inventory":
+            inventory = tmp_path / "inventory.txt"
+            inventory.write_text("FOOD#QUALITY\nDRINKS#PRICES\n", "utf-8")
+            argv += ["--inventory", str(inventory)]
+        else:
+            named = Path(config.exemplar_paths[0])
+            named.write_text("::snt One.\n(s1a thing)", "utf-8")
+            argv = ["run", "--config", str(write_config_file(config, tmp_path / "run.toml"))]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {named}: {self.LOADING_FAULTS[case]}\n"
+        assert err.count(named.name) == 1
+        assert_nothing_written(config)
+
     @pytest.mark.parametrize("method", ["baseline", "umr"])
     def test_split_without_categories_is_a_data_error(
         self, tmp_path, monkeypatch, capsys, method
@@ -1466,7 +1508,7 @@ class TestGrid:
         assert (table.methods, table.models, table.datasets) == (
             ("baseline", "umr"), ("unit-model",), ("Restaurant16",)
         )
-        assert table.values() == tuple(row[3] for row in expected)
+        assert table.scores == {tuple(row[:3]): row[3] for row in expected}
         assert cli.main(["report", "--cells", str(scores)]) == 0
 
     def test_each_cell_loads_its_split_once(self, tmp_path, monkeypatch):
