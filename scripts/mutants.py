@@ -85,16 +85,23 @@ MUTANTS = (
     Mutant(
         "shoes-blank-category",
         "src/acsa_harness/datasets.py",
-        "                category = category.strip()\n                if not category:\n",
-        "                category = category.strip()\n                if False:\n",
+        "                if not category:\n",
+        "                if False:\n",
         "tests/test_datasets.py::TestShoes::test_blank_category",
     ),
     Mutant(
         "xml-blank-category",
         "src/acsa_harness/datasets.py",
-        "                        if not category:\n",
-        "                        if False:\n",
+        "                if not category:\n",
+        "                if False:\n",
         "tests/test_datasets.py::TestSemeval::test_blank_category",
+    ),
+    Mutant(
+        "empty-text",
+        "src/acsa_harness/datasets.py",
+        "            if not text.strip():\n                raise MalformedRecord",
+        "            if False:\n                raise MalformedRecord",
+        "tests/test_datasets.py::TestOneSampleBuilder::test_faults_of_a_record",
     ),
     Mutant(
         "shoes-category-not-stripped",
@@ -106,15 +113,15 @@ MUTANTS = (
     Mutant(
         "xml-category-not-stripped",
         "src/acsa_harness/datasets.py",
-        'category = (opinion.get("category") or "").strip()',
-        'category = opinion.get("category") or ""',
+        "                category = category.strip()\n",
+        "",
         "tests/test_datasets.py::TestSemeval::test_categories_are_stripped",
     ),
     Mutant(
         "categories-that-fold-alike",
         "src/acsa_harness/datasets.py",
-        "            if j != i:\n",
-        "            if False:\n",
+        "        if j != i:\n",
+        "        if False:\n",
         "tests/test_datasets.py::TestInventoryAndCounts::test_one_spelling_per_category",
     ),
     Mutant(
@@ -162,8 +169,8 @@ MUTANTS = (
     Mutant(
         "xml-sentence-fault-without-path",
         "src/acsa_harness/datasets.py",
-        '        raise type(err)(f"{path}: {err}") from None\n',
-        "        raise\n",
+        'yield f"{path}: sentence {sid!r}", sid, text, raw_pairs',
+        'yield f"sentence {sid!r}", sid, text, raw_pairs',
         "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
     ),
     Mutant(
@@ -175,10 +182,102 @@ MUTANTS = (
     ),
     Mutant(
         "split-fault-without-path",
-        "src/acsa_harness/runner.py",
-        '        raise type(err)(f"{categories or config.dataset_path}: {err}") from None\n',
+        "src/acsa_harness/datasets.py",
+        '        raise type(err)(f"{path}: {err}") from None\n',
         "        raise\n",
         "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
+    ),
+    Mutant(
+        "inventory-entries-that-fold-alike",
+        "src/acsa_harness/datasets.py",
+        "        _one_spelling_each(categories)\n",
+        "        pass\n",
+        "tests/test_datasets.py::TestInventoryAndCounts::test_read_inventory_rejects_duplicates",
+    ),
+    Mutant(
+        "inventory-split-at-any-line-break",
+        "src/acsa_harness/datasets.py",
+        'text.replace("\\r\\n", "\\n").replace("\\r", "\\n").split("\\n")',
+        "text.splitlines()",
+        "tests/test_datasets.py::TestInventoryAndCounts::test_read_inventory_splits_at_line_ends_only",
+    ),
+    Mutant(
+        "shoes-decode-fault-without-line",
+        "src/acsa_harness/datasets.py",
+        'open(path, encoding="utf-8", errors="surrogateescape")',
+        'open(path, encoding="utf-8")',
+        "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
+    ),
+    Mutant(
+        "first-list-wins",
+        "src/acsa_harness/postprocess.py",
+        '    start = raw_output.rfind("[")\n',
+        '    start = raw_output.find("[")\n',
+        "tests/test_postprocess.py::TestExtractMatchesForwardScan",
+    ),
+    Mutant(
+        "tie-breaks-to-latest",
+        "src/acsa_harness/postprocess.py",
+        "        if score > best_score or (score == best_score and index < best_index):",
+        "        if score >= best_score or (score == best_score and index < best_index):",
+        "tests/test_postprocess.py::TestBestCategoryMatchesExhaustiveSearch::test_ties_break_to_earliest",
+    ),
+    Mutant(
+        "queued-calls-not-cancelled",
+        "src/acsa_harness/llm.py",
+        "pool.shutdown(wait=False, cancel_futures=True)",
+        "pool.shutdown(wait=False)",
+        "tests/test_runner.py::TestRunFatalFaults",
+    ),
+    Mutant(
+        "queued-calls-sent-after-a-fault",
+        "src/acsa_harness/llm.py",
+        "        if faults:\n            return None\n",
+        "        if False:\n            return None\n",
+        "tests/test_runner.py::TestRunFatalFaults",
+    ),
+    Mutant(
+        "job-list-built-up-front",
+        "src/acsa_harness/runner.py",
+        "jobs, ahead = tee(_jobs(config, split))",
+        "jobs, ahead = tee(list(_jobs(config, split)))",
+        "tests/test_runner.py::TestRunMemory::test_run_memory_does_not_grow_with_samples",
+    ),
+    Mutant(
+        "xml-elements-not-dropped",
+        "src/acsa_harness/datasets.py",
+        "                open_elements[-1].remove(node)\n",
+        "                pass\n",
+        "tests/test_datasets.py::TestStreamedXmlLoader::test_parse_peak_stays_near_the_split_size",
+    ),
+    Mutant(
+        "exemplar-memo-off",
+        "src/acsa_harness/runner.py",
+        "EXEMPLAR_MEMO_SIZE = 32\n",
+        "EXEMPLAR_MEMO_SIZE = 0\n",
+        "tests/test_runner.py::TestPreparationMemos::test_grid_parses_each_exemplar_file_once",
+    ),
+    Mutant(
+        "exemplars-keyed-by-name",
+        "src/acsa_harness/runner.py",
+        'exemplars.append(_exemplar(path.name, path.read_text("utf-8")))',
+        "exemplars.append(_exemplar(path.name, _exemplar.__dict__.setdefault("
+        'path.name, path.read_text("utf-8"))))',
+        "tests/test_runner.py::TestPreparationMemos::test_rewritten_file_gives_new_blocks",
+    ),
+    Mutant(
+        "non-finite-request-hashed",
+        "src/acsa_harness/llm.py",
+        "            allow_nan=False,\n",
+        "",
+        "tests/test_llm.py::TestRequestHashing::test_non_finite_parameter_is_refused",
+    ),
+    Mutant(
+        "grid-scored-on-a-second-load",
+        "src/acsa_harness/cli.py",
+        "report = runner.score_run(summary.results_path, summary.split)",
+        "report = runner.score_run(summary.results_path, runner._load_split(config))",
+        "tests/test_runner.py::TestGrid::test_each_cell_loads_its_split_once",
     ),
 )
 

@@ -1,15 +1,19 @@
 """Loaders for the four ACSA evaluation datasets.
 
-All loaders produce the same canonical shape: one Sample per sentence (or
-per review for Shoes) with a deduplicated gold set of (category, polarity)
+A reader per file format streams one raw record per sentence (XML) or per
+line (Shoes), and one builder, ``_build_split``, turns the records of every
+format into the same canonical shape: one Sample per sentence (or per
+review for Shoes) with a deduplicated gold set of (category, polarity)
 pairs, plus the ordered category inventory that fills the prompt's
-category slot.
+category slot. Every loading fault names its file once, at the start of
+the message, and only this module decides which file that is.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -48,10 +52,6 @@ class UnknownPolarityValue(DatasetError):
     pass
 
 
-class MissingCategoryAttribute(DatasetError):
-    pass
-
-
 class MalformedRecord(DatasetError):
     pass
 
@@ -71,6 +71,18 @@ class DuplicateCategory(InvalidSplit):
 def _fold(s: str) -> str:
     """The one spelling by which categories are compared."""
     return " ".join(s.split()).casefold()
+
+
+def _one_spelling_each(categories: Sequence[str]) -> None:
+    """Refuse two categories that fold alike: which of them a prediction
+    maps to would be unpredictable."""
+    first: dict[str, int] = {}
+    for i, entry in enumerate(categories):
+        j = first.setdefault(_fold(entry), i)
+        if j != i:
+            raise DuplicateCategory(
+                f"categories {categories[j]!r} and {entry!r} differ only in case or spacing"
+            )
 
 
 class Polarity(str, Enum):
@@ -103,14 +115,7 @@ class DatasetSplit:
     n_conflict_dropped: int = 0
 
     def __post_init__(self):
-        first: dict[str, int] = {}
-        for i, entry in enumerate(self.categories):
-            j = first.setdefault(_fold(entry), i)
-            if j != i:
-                raise DuplicateCategory(
-                    f"categories {self.categories[j]!r} and {entry!r} "
-                    "differ only in case or spacing"
-                )
+        _one_spelling_each(self.categories)
         seen_ids = set()
         known = set(self.categories)
         for sample in self.samples:
@@ -130,28 +135,31 @@ class DatasetSplit:
 def read_inventory(path: str | Path) -> list[str]:
     """Read a one-category-per-line inventory file, keeping file order.
 
-    Lines are taken verbatim after stripping surrounding whitespace (no
-    comment syntax: '#' is a legal category character). Blank lines are
-    skipped; duplicates are an error.
+    Lines end at LF, CRLF or CR only, as Shoes records do, and are taken
+    verbatim after stripping surrounding whitespace (no comment syntax:
+    '#' is a legal category character). Blank lines are skipped; two
+    entries that fold alike are an error.
     """
-    categories: list[str] = []
-    for raw in Path(path).read_text("utf-8").splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line in categories:
-            raise DatasetError(f"duplicate category {line!r} in inventory file {path}")
-        categories.append(line)
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DatasetError(f"{path}: not UTF-8: {err.reason} at byte offset {err.start}") from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    categories = [entry for entry in map(str.strip, lines) if entry]
     if not categories:
-        raise DatasetError(f"inventory file {path} contains no categories")
+        raise DatasetError(f"{path}: the inventory file contains no categories")
+    try:
+        _one_spelling_each(categories)
+    except DuplicateCategory as err:
+        raise DuplicateCategory(f"{path}: {err}") from None
     return categories
 
 
 def _resolve_polarity(raw: str | None, where: str, drop_conflict: bool) -> Polarity | None:
     """Map a raw polarity attribute to a Polarity, or None for a dropped conflict."""
-    if raw is None or not raw.strip():
+    value = (raw or "").strip().lower()
+    if not value:
         raise UnknownPolarityValue(f"{where}: missing polarity value")
-    value = raw.strip().lower()
     if value == "conflict":
         if drop_conflict:
             return None
@@ -164,22 +172,49 @@ def _resolve_polarity(raw: str | None, where: str, drop_conflict: bool) -> Polar
         raise UnknownPolarityValue(f"{where}: unknown polarity {raw!r}") from None
 
 
-def _finish_split(
+def _build_split(
+    path: str | Path,
     name: str,
     split: str,
-    samples: list[Sample],
+    records: Iterator[tuple],
+    drop_conflict: bool,
     inventory: Sequence[str] | None,
-    n_conflict_dropped: int,
 ) -> DatasetSplit:
-    if inventory is not None:
-        categories = tuple(inventory)
-    else:
-        categories = tuple(sorted({p.category for s in samples for p in s.gold}))
-    if n_conflict_dropped:
-        logger.info(
-            "%s %s: dropped %d conflict opinions", name, split, n_conflict_dropped
-        )
-    return DatasetSplit(name, split, tuple(samples), categories, n_conflict_dropped)
+    """The split of the records ``(where, id, text, [(category, polarity),
+    ...])`` that a format's reader streams, with the strings as the file
+    holds them. Equal pairs and equal gold sets are one shared object each.
+    A record's fault names its ``where``; a fault of the split's own
+    checks, ``path``."""
+    samples: list[Sample] = []
+    pair_of: dict[tuple[str, Polarity], Pair] = {}
+    gold_of: dict[frozenset[Pair], frozenset[Pair]] = {}
+    dropped = 0
+    with closing(records):
+        for where, sid, text, raw_pairs in records:
+            if not text.strip():
+                raise MalformedRecord(f"{where}: missing or empty text")
+            pairs = set()
+            for category, raw_polarity in raw_pairs:
+                category = category.strip()
+                if not category:
+                    raise MalformedRecord(f"{where}: missing or blank category")
+                polarity = _resolve_polarity(raw_polarity, where, drop_conflict)
+                if polarity is None:
+                    dropped += 1
+                    continue
+                pair = pair_of.get((category, polarity))
+                if pair is None:
+                    pair = pair_of[category, polarity] = Pair(category, polarity)
+                pairs.add(pair)
+            gold = frozenset(pairs)
+            samples.append(Sample(sid, text.strip(), gold_of.setdefault(gold, gold)))
+    categories = tuple(sorted({c for c, _ in pair_of}) if inventory is None else inventory)
+    if dropped:
+        logger.info("%s %s: dropped %d conflict opinions", name, split, dropped)
+    try:
+        return DatasetSplit(name, split, tuple(samples), categories, dropped)
+    except InvalidSplit as err:
+        raise type(err)(f"{path}: {err}") from None
 
 
 def load_xml(
@@ -202,47 +237,26 @@ def load_xml(
     file that cannot be read raises its OSError unchanged.
 
     The file is parsed as a stream (``_sentences``), so the parse holds
-    little more than the split it returns. Equal pairs and equal gold
-    sets are one shared object each.
+    little more than the split it returns.
     """
-    samples: list[Sample] = []
-    pair_of: dict[tuple[str, Polarity], Pair] = {}
-    gold_of: dict[frozenset[Pair], frozenset[Pair]] = {}
-    dropped = 0
-    try:
-        with open(path, "rb") as handle:
+    records = _xml_records(path, container, element)
+    return _build_split(path, name, split, records, drop_conflict, inventory)
+
+
+def _xml_records(path: str | Path, container: str, element: str) -> Iterator[tuple]:
+    with open(path, "rb") as handle:
+        try:
             for i, sentence in enumerate(_sentences(handle)):
                 sid = sentence.get("id") or f"s{i + 1}"
-                text_el = sentence.find("text")
-                text = (text_el.text or "") if text_el is not None else ""
-                if not text.strip():
-                    raise MalformedXml(f"sentence {sid!r} has no text element or empty text")
-                pairs = set()
+                text = sentence.findtext("text") or ""
                 opinions = sentence.find(container)
-                if opinions is not None:
-                    for opinion in opinions.findall(element):
-                        category = (opinion.get("category") or "").strip()
-                        if not category:
-                            raise MissingCategoryAttribute(
-                                f"sentence {sid!r}: {element} element without category attribute"
-                            )
-                        polarity = _resolve_polarity(
-                            opinion.get("polarity"), f"sentence {sid!r}", drop_conflict
-                        )
-                        if polarity is None:
-                            dropped += 1
-                            continue
-                        pair = pair_of.get((category, polarity))
-                        if pair is None:
-                            pair = pair_of[category, polarity] = Pair(category, polarity)
-                        pairs.add(pair)
-                gold = frozenset(pairs)
-                samples.append(Sample(sid, text.strip(), gold_of.setdefault(gold, gold)))
-    except ET.ParseError as err:
-        raise MalformedXml(f"{path}: {err}") from err
-    except DatasetError as err:  # a sentence's fault, which names only the sentence
-        raise type(err)(f"{path}: {err}") from None
-    return _finish_split(name, split, samples, inventory, dropped)
+                raw_pairs = [] if opinions is None else [
+                    (opinion.get("category", ""), opinion.get("polarity"))
+                    for opinion in opinions.findall(element)
+                ]
+                yield f"{path}: sentence {sid!r}", sid, text, raw_pairs
+        except ET.ParseError as err:
+            raise MalformedXml(f"{path}: {err}") from err
 
 
 _XML_CHUNK = 16 * 1024  # bytes per read, as ET.iterparse reads
@@ -296,37 +310,30 @@ def load_shoes(
     text may hold any other character, U+2028 or a form feed included.
     The file is read one line at a time.
     """
+    return _build_split(path, "Shoes", split, _shoes_records(path), drop_conflict, inventory)
+
+
+def _shoes_records(path: str | Path) -> Iterator[tuple]:
     jsonl = None
-    samples: list[Sample] = []
-    dropped = 0
-    with open(path, encoding="utf-8") as handle:
+    # a byte that is not UTF-8 is kept as a lone surrogate, so that the
+    # fault names its line: the decoder's own offset counts within a chunk
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.removesuffix("\n")
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise MalformedRecord(f"{where}: not UTF-8: {err.reason}") from None
             if jsonl is None:
                 jsonl = line.lstrip()[0] == "{"
-            where = f"{path}:{lineno}"
-            if jsonl:
-                rid, text, raw_pairs = _shoes_json_record(line, where, lineno)
-            else:
-                rid, text, raw_pairs = _shoes_tsv_record(line, where, lineno)
-            if not text.strip():
-                raise MalformedRecord(f"{where}: record has empty text")
-            pairs = set()
-            for category, raw_pol in raw_pairs:
-                category = category.strip()
-                if not category:
-                    raise MalformedRecord(f"{where}: blank category")
-                polarity = _resolve_polarity(raw_pol, where, drop_conflict)
-                if polarity is None:
-                    dropped += 1
-                    continue
-                pairs.add(Pair(category, polarity))
-            samples.append(Sample(rid, text.strip(), frozenset(pairs)))
+            record = _shoes_json_record if jsonl else _shoes_tsv_record
+            yield where, *record(line, where, lineno)
     if jsonl is None:
         raise MalformedRecord(f"{path}: empty file")
-    return _finish_split("Shoes", split, samples, inventory, dropped)
 
 
 def _shoes_json_record(line: str, where: str, lineno: int):
@@ -347,16 +354,10 @@ def _shoes_json_record(line: str, where: str, lineno: int):
     raw_pairs = obj.get("pairs", [])
     if not isinstance(raw_pairs, list):
         raise MalformedRecord(f"{where}: 'pairs' must be a list")
-    out = []
     for item in raw_pairs:
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 2
-            or not all(isinstance(x, str) for x in item)
-        ):
+        if not isinstance(item, list) or len(item) != 2 or not all(isinstance(x, str) for x in item):
             raise MalformedRecord(f"{where}: each pair must be a [category, polarity] pair")
-        out.append((item[0], item[1]))
-    return rid, text, out
+    return rid, text, raw_pairs
 
 
 def _shoes_tsv_record(line: str, where: str, lineno: int):

@@ -308,18 +308,13 @@ class RunSummary:
 
 def _load_split(config: RunConfig) -> ds.DatasetSplit:
     inventory = ds.read_inventory(config.inventory_path) if config.inventory_path else None
-    try:
-        return ds.load_dataset(
-            config.dataset,
-            config.dataset_path,
-            split=config.split,
-            drop_conflict=config.drop_conflict,
-            inventory=inventory,
-        )
-    except ds.InvalidSplit as err:
-        # the categories come from the inventory file, if one is named
-        categories = isinstance(err, ds.DuplicateCategory) and config.inventory_path
-        raise type(err)(f"{categories or config.dataset_path}: {err}") from None
+    return ds.load_dataset(
+        config.dataset,
+        config.dataset_path,
+        split=config.split,
+        drop_conflict=config.drop_conflict,
+        inventory=inventory,
+    )
 
 
 def make_backend(config: RunConfig):
@@ -356,7 +351,7 @@ def _jobs(config: RunConfig, split: ds.DatasetSplit) -> Iterator[_Job]:
     """
     if not split.categories:
         raise ds.DatasetError(
-            f"{config.dataset_path}: no categories to prompt with; name an inventory_path file"
+            f"{config.dataset}: no categories to prompt with; name an inventory_path file"
         )
     params = DecodeParams(config.temperature, config.top_p, config.max_output_tokens)
     if config.method == "umr":
@@ -368,6 +363,8 @@ def _jobs(config: RunConfig, split: ds.DatasetSplit) -> Iterator[_Job]:
             except UmrError as err:
                 err.args = (f"{path}: {err}",)  # the message names the entry, not the file
                 raise
+            except UnicodeDecodeError as err:  # read_text decodes the whole file at once
+                raise UmrError(f"{path}: not UTF-8: {err.reason} at byte offset {err.start}")
         draws = exemplar_draw_indices(config.seed, len(split.samples), len(exemplars))
 
         def job(i: int, sample: ds.Sample) -> _Job:

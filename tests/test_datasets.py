@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from pathlib import Path
 from xml.etree import ElementTree as ET
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
@@ -14,7 +15,6 @@ from acsa_harness.datasets import (
     DuplicateCategory,
     MalformedRecord,
     MalformedXml,
-    MissingCategoryAttribute,
     Pair,
     Polarity,
     Sample,
@@ -132,14 +132,16 @@ class TestSemeval:
         xml = SEMEVAL_XML.replace(' category="SERVICE#GENERAL"', "")
         path = tmp_path / "rest.xml"
         path.write_text(xml, "utf-8")
-        with pytest.raises(MissingCategoryAttribute):
+        message = f"{path}: sentence '1:0': missing or blank category"
+        with pytest.raises(MalformedRecord, match=f"^{re.escape(message)}$"):
             load_xml(path, "Restaurant16")
 
     def test_blank_category(self, tmp_path):
         xml = SEMEVAL_XML.replace(' category="SERVICE#GENERAL"', ' category=" \t"')
         path = tmp_path / "rest.xml"
         path.write_text(xml, "utf-8")
-        with pytest.raises(MissingCategoryAttribute):
+        message = f"{path}: sentence '1:0': missing or blank category"
+        with pytest.raises(MalformedRecord, match=f"^{re.escape(message)}$"):
             load_xml(path, "Restaurant16")
 
     def test_categories_are_stripped(self, tmp_path):
@@ -214,9 +216,7 @@ def reference_load_xml(
             for opinion in opinions.findall(element):
                 category = opinion.get("category")
                 if not category:
-                    raise MissingCategoryAttribute(
-                        f"sentence {sid!r}: {element} element without category attribute"
-                    )
+                    raise MalformedRecord(f"sentence {sid!r}: missing or blank category")
                 polarity = ds._resolve_polarity(
                     opinion.get("polarity"), f"sentence {sid!r}", drop_conflict
                 )
@@ -225,7 +225,9 @@ def reference_load_xml(
                     continue
                 pairs.add(Pair(category, polarity))
         samples.append(Sample(sid, text.strip(), frozenset(pairs)))
-    return ds._finish_split(name, split, samples, inventory, dropped)
+    if inventory is None:
+        inventory = sorted({p.category for s in samples for p in s.gold})
+    return ds.DatasetSplit(name, split, tuple(samples), tuple(inventory), dropped)
 
 
 E2E = Path(__file__).parent / "fixtures" / "e2e"
@@ -495,7 +497,7 @@ class TestShoes:
     def test_blank_category(self, tmp_path, name, line):
         path = tmp_path / name
         path.write_text("\n" + line + "\n", "utf-8")
-        with pytest.raises(MalformedRecord, match=rf"{name}:2: blank category"):
+        with pytest.raises(MalformedRecord, match=rf"{name}:2: missing or blank category$"):
             load_shoes(path)
 
     @pytest.mark.parametrize(
@@ -527,6 +529,81 @@ class TestShoes:
             load_shoes(path)
 
 
+def write_layout(tmp_path, layout, records):
+    """``records``, as ``(id, text, [(category, polarity), ...])``, written
+    in one of the four layouts; returns the file's loader and the ``where``
+    that a fault of each record names it by."""
+    if layout in ("semeval", "mams"):
+        path = tmp_path / f"{layout}.xml"
+        tags = {} if layout == "semeval" else MAMS_TAGS
+        container, element = tags.get("container", "Opinions"), tags.get("element", "Opinion")
+        path.write_text(
+            "<sentences>" + "".join(
+                f'<sentence id="{rid}"><text>{escape(text)}</text><{container}>'
+                + "".join(f"<{element} category={quoteattr(c)} polarity={quoteattr(p)}/>"
+                          for c, p in pairs)
+                + f"</{container}></sentence>"
+                for rid, text, pairs in records
+            ) + "</sentences>",
+            "utf-8",
+        )
+        where = [f"{path}: sentence {rid!r}" for rid, _, _ in records]
+        return (lambda: load_xml(path, "MAMS", drop_conflict=True, **tags)), where
+    path = tmp_path / f"shoes.{layout}"
+    if layout == "jsonl":
+        lines = [json.dumps({"id": rid, "text": text, "pairs": pairs}) for rid, text, pairs in records]
+    else:
+        lines = ["\t".join([rid, text, *(x for pair in pairs for x in pair)])
+                 for rid, text, pairs in records]
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    where = [f"{path}:{lineno}" for lineno in range(1, len(records) + 1)]
+    return (lambda: load_shoes(path, drop_conflict=True)), where
+
+
+LAYOUTS = ["semeval", "mams", "jsonl", "tsv"]
+
+
+class TestOneSampleBuilder:
+    """Every layout's records go through one builder, with one set of checks."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_equal_pairs_and_gold_sets_are_shared(self, tmp_path, layout):
+        rng = random.Random(7)
+        records = [
+            (f"r{i}", f"Review {i}.",
+             [(rng.choice(MAMS_CATEGORIES), rng.choice(RAW_POLARITIES)) for _ in range(rng.randrange(4))])
+            for i in range(300)
+        ]
+        load, _ = write_layout(tmp_path, layout, records)
+        split = load()
+        pairs = [p for s in split.samples for p in s.gold]
+        assert len({id(p) for p in pairs}) == len(set(pairs)) < len(pairs)
+        golds = [s.gold for s in split.samples]
+        assert len({id(g) for g in golds}) == len(set(golds)) < len(golds)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize(
+        "text,category,fault",
+        [(" ", "fit", "missing or empty text"), ("Snug.", "  ", "missing or blank category")],
+    )
+    def test_faults_of_a_record(self, tmp_path, layout, text, category, fault):
+        records = [("a", "Fine.", [("fit", "positive")]), ("b", text, [(category, "negative")])]
+        load, where = write_layout(tmp_path, layout, records)
+        with pytest.raises(MalformedRecord) as err:
+            load()
+        assert str(err.value) == f"{where[1]}: {fault}"
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_categories_are_stripped(self, tmp_path, layout):
+        records = [("a", "Fine.", [(" fit ", "positive")]), ("b", "Tight.", [("fit", "negative")])]
+        load, _ = write_layout(tmp_path, layout, records)
+        split = load()
+        assert split.categories == ("fit",)
+        assert [s.gold for s in split.samples] == [
+            {Pair("fit", Polarity.POSITIVE)}, {Pair("fit", Polarity.NEGATIVE)}
+        ]
+
+
 class TestInventoryAndCounts:
     def test_read_inventory_keeps_order(self, tmp_path):
         path = tmp_path / "inv.txt"
@@ -539,22 +616,39 @@ class TestInventoryAndCounts:
 
     def test_read_inventory_rejects_duplicates(self, tmp_path):
         path = tmp_path / "inv.txt"
-        path.write_text("FOOD#QUALITY\nFOOD#QUALITY\n", "utf-8")
-        with pytest.raises(DatasetError):
-            read_inventory(path)
+        for other in ("FOOD#QUALITY", " food#quality", "Food#Quality\t"):
+            path.write_text(f"FOOD#QUALITY\nSERVICE#GENERAL\n{other}\n", "utf-8")
+            message = (
+                f"{path}: categories 'FOOD#QUALITY' and {other.strip()!r} "
+                "differ only in case or spacing"
+            )
+            with pytest.raises(DuplicateCategory, match=f"^{re.escape(message)}$"):
+                read_inventory(path)
+
+    def test_read_inventory_splits_at_line_ends_only(self, tmp_path):
+        # as a Shoes record does: a form feed or U+0085 is part of its line
+        path = tmp_path / "inv.txt"
+        path.write_text("FOOD#QUALITY\x0cDRINKS\r\nSERVICE\x85X\rAMBIENCE\u2028B\n\nPLACE", "utf-8")
+        assert read_inventory(path) == [
+            "FOOD#QUALITY\x0cDRINKS", "SERVICE\x85X", "AMBIENCE\u2028B", "PLACE"
+        ]
 
     def test_one_spelling_per_category(self, tmp_path):
         # two entries that differ only in case or spacing, from the data
         # or from an inventory file, would leave one of them unpredictable
         path = tmp_path / "shoes.tsv"
         path.write_text("r1\tThey fit.\tfit\tpositive\nr2\tThey do not.\tFit\tnegative\n", "utf-8")
-        with pytest.raises(DuplicateCategory, match="^categories 'Fit' and 'fit' differ only"):
+        message = f"{path}: categories 'Fit' and 'fit' differ only in case or spacing"
+        with pytest.raises(DuplicateCategory, match=f"^{re.escape(message)}$"):
             load_shoes(path)
         path = tmp_path / "rest.xml"
         path.write_text(SEMEVAL_XML, "utf-8")
         for other in ("food#quality", "FOOD#QUALITY ", "FOOD#QUALITY"):
+            # a list passed by the caller names no file of its own
             inventory = ["FOOD#QUALITY", "SERVICE#GENERAL", other]
-            message = f"categories 'FOOD#QUALITY' and {other!r} differ only in case or spacing"
+            message = (
+                f"{path}: categories 'FOOD#QUALITY' and {other!r} differ only in case or spacing"
+            )
             with pytest.raises(DuplicateCategory, match=f"^{re.escape(message)}$"):
                 load_xml(path, "Restaurant16", inventory=inventory)
         assert ds.DatasetSplit("x", "test", (), ("fit", "fits")).categories == ("fit", "fits")

@@ -423,6 +423,8 @@ class TestBestCategoryMatchesExhaustiveSearch:
     def test_ties_break_to_earliest(self):
         self._check("drink#", ["drinks", "drinkz"])
         self._check("ab", ["ax", "xb", "ab "])
+        # a later entry whose bound is above the best score but whose score equals it
+        self._check("aba", ["bcbca", "bbbca"])
         rng = random.Random(11)
         for _ in range(500):  # a 3-letter alphabet makes equal scores common
             inventory = ["".join(rng.choice("abc") for _ in range(rng.randrange(1, 6))) for _ in range(8)]

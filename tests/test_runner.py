@@ -1166,18 +1166,23 @@ class TestCli:
         inventory.write_text("FOOD#QUALITY\n", "utf-8")  # gold names categories beyond it
         assert cli.main(argv) == 2
 
+    # what follows the file's path in the message
     LOADING_FAULTS = {
-        "no-category": "sentence 't:0': Opinion element without category attribute",
-        "polarity": "sentence 't:0': unknown polarity 'great'",
-        "xml-id": "duplicate sample id 't:0'",
-        "jsonl-id": "duplicate sample id 'x'",
-        "inventory": "sample 't:1' gold category 'SERVICE#GENERAL' is not in the inventory",
-        "exemplar": "entry 0: expected '/' after variable 's1a' (line 1, column 6)",
+        "no-category": ": sentence 't:0': missing or blank category",
+        "polarity": ": sentence 't:0': unknown polarity 'great'",
+        "xml-id": ": duplicate sample id 't:0'",
+        "jsonl-id": ": duplicate sample id 'x'",
+        "inventory": ": sample 't:1' gold category 'SERVICE#GENERAL' is not in the inventory",
+        "exemplar": ": entry 0: expected '/' after variable 's1a' (line 1, column 6)",
+        # past the first chunk a decoder reads, whose offsets it counts from
+        "jsonl-utf8": ":402: not UTF-8: invalid continuation byte",
+        "inventory-utf8": ": not UTF-8: invalid start byte at byte offset 20020",
+        "exemplar-utf8": ": not UTF-8: invalid start byte at byte offset 20011",
     }
 
     @pytest.mark.parametrize("case", LOADING_FAULTS)
     def test_loading_fault_names_the_file_once(self, tmp_path, capsys, case):
-        config = make_config(tmp_path, "umr" if case == "exemplar" else "baseline")
+        config = make_config(tmp_path, "umr" if case.startswith("exemplar") else "baseline")
         named = Path(config.dataset_path)
         xml = {
             "no-category": MINI_XML.replace('category="FOOD#QUALITY" ', "", 1),
@@ -1189,22 +1194,34 @@ class TestCli:
         if case in xml:
             named.write_text(xml[case], "utf-8")
             argv = run_argv(config)
-        elif case == "jsonl-id":
+        elif case.startswith("jsonl"):
             named = tmp_path / "shoes.jsonl"
-            line = '{"id": "x", "text": "Snug.", "pairs": [["fit", "positive"]]}\n'
-            named.write_text(line * 2, "utf-8")
+            if case == "jsonl-id":
+                line = '{"id": "x", "text": "Snug.", "pairs": [["fit", "positive"]]}\n'
+                named.write_text(line * 2, "utf-8")
+            else:
+                lines = [f'{{"id": "r{i}", "text": "Snug \u00e9.", "pairs": []}}\r\n'.encode()
+                         for i in range(400)]
+                named.write_bytes(b"".join(lines) + b"\n" + b'{"text": "caf\xe9!"}\n')
             argv[4:] = ["Shoes", "--dataset-path", str(named)]
-        elif case == "inventory":
+        elif case.startswith("inventory"):
             inventory = tmp_path / "inventory.txt"
-            inventory.write_text("FOOD#QUALITY\nDRINKS#PRICES\n", "utf-8")
+            if case == "inventory":
+                inventory.write_text("FOOD#QUALITY\nDRINKS#PRICES\n", "utf-8")
+            else:
+                named = inventory
+                inventory.write_bytes(b"FOOD#QUALITY\r\n" * 1430 + b"\xffOOD\n")
             argv += ["--inventory", str(inventory)]
         else:
             named = Path(config.exemplar_paths[0])
-            named.write_text("::snt One.\n(s1a thing)", "utf-8")
+            if case == "exemplar":
+                named.write_text("::snt One.\n(s1a thing)", "utf-8")
+            else:
+                named.write_bytes(b"::snt One.\n" + b"\r\n" * 10000 + b"\xff")
             argv = ["run", "--config", str(write_config_file(config, tmp_path / "run.toml"))]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err == f"error: {named}: {self.LOADING_FAULTS[case]}\n"
+        assert err == f"error: {named}{self.LOADING_FAULTS[case]}\n"
         assert err.count(named.name) == 1
         assert_nothing_written(config)
 
