@@ -7,11 +7,14 @@ Usage:
 The base revision is exported with ``git archive`` into a scratch
 directory (``--scratch``, or a temporary directory removed at the end),
 so the repository's own ``.git`` gains nothing. Pair i (counting from 1)
-runs ``perfbench/run.py --workload W --seed i --seconds T --trace 0``
-once in the base tree and once in this working tree, with T the
+runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
+once in the base tree and once in this working tree, with S = F + i - 1
+for the first seed F (``--first-seed``, default 1) and T the
 ``run_seconds`` of ``BENCHMARK.json``; odd pairs run the base first and
 even pairs the change first, so a slow spell of the machine does not
-always land on the same side.
+always land on the same side. A claim checked again with a first seed
+past the seeds used while the change was written is checked on inputs
+the change was not tuned to.
 ``--workload`` may be given several times; by default every workload in
 ``BENCHMARK.json`` runs.
 
@@ -20,7 +23,9 @@ both sides' median and quartiles, every run's value, how many pairs the
 change won, the median gap against the base's interquartile range, and
 whether a gain holds by the rule a claim needs (the change wins at least
 nine tenths of all pairs run and the medians differ by more than the
-base's IQR). It also records nproc, the Python version and the mean CPU
+base's IQR), and whether the change's median is within the metric's
+``bound`` (no worse than the base's median by more than that fraction
+of it). It also records nproc, the Python version and the mean CPU
 steal the benchmark reported. Each invocation writes a new output file,
 so everything in it was measured against one base and one working tree.
 """
@@ -119,20 +124,23 @@ def compare(metric: dict, runs: list[dict]) -> dict:
             relative_gap=gap / base["median"] if base["median"] else None,
             base_iqr=iqr,
             gain_holds=wins >= 0.9 * len(runs) and (gap if higher else -gap) > iqr,
+            within_bound=(-gap if higher else gap) <= metric["bound"] * abs(base["median"]),
         )
     return out
 
 
 def bench_workload(
-    base_tree: Path, workload: str, pairs: int, seconds: float, metrics: list[dict]
+    base_tree: Path, workload: str, pairs: int, first_seed: int, seconds: float,
+    metrics: list[dict],
 ) -> dict:
     runs = []
-    for seed in range(1, pairs + 1):
-        sides = ("base", "change") if seed % 2 else ("change", "base")
-        pair = {"pair": seed, "seed": seed, "first": sides[0]}
+    for i in range(1, pairs + 1):
+        seed = first_seed + i - 1
+        sides = ("base", "change") if i % 2 else ("change", "base")
+        pair = {"pair": i, "seed": seed, "first": sides[0]}
         for side in sides:
             pair[side] = run_once(base_tree if side == "base" else ROOT, workload, seed, seconds)
-        print(f"{workload} pair {seed}/{pairs}: " + ", ".join(
+        print(f"{workload} pair {i}/{pairs} (seed {seed}): " + ", ".join(
             f"{side} {pair[side]['metrics'].get('cpu_ms_per_sample', float('nan')):.4g} ms"
             f"{'' if pair[side]['correct'] else ' INCORRECT'}"
             for side in ("base", "change")
@@ -157,6 +165,7 @@ def main() -> int:
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--workload", action="append", help="repeatable; default: every workload")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--scratch", type=Path, help="where the base tree is written")
     args = parser.parse_args()
@@ -179,7 +188,8 @@ def main() -> int:
         }
         for workload in workloads:
             out["workloads"][workload] = bench_workload(
-                base_tree, workload, args.pairs, declared["run_seconds"], declared["end_to_end"]
+                base_tree, workload, args.pairs, args.first_seed, declared["run_seconds"],
+                declared["end_to_end"],
             )
             args.out.write_text(json.dumps(out, indent=1) + "\n", "utf-8")
     return 0 if all(out["workloads"][w]["all_correct"] for w in workloads) else 1

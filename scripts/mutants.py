@@ -204,8 +204,8 @@ MUTANTS = (
     Mutant(
         "shoes-decode-fault-without-line",
         "src/acsa_harness/datasets.py",
-        'open(path, encoding="utf-8", errors="surrogateescape")',
-        'open(path, encoding="utf-8")',
+        '_binary(path, data), encoding="utf-8", errors="surrogateescape"',
+        '_binary(path, data), encoding="utf-8"',
         "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
     ),
     Mutant(
@@ -268,8 +268,8 @@ MUTANTS = (
     Mutant(
         "non-finite-request-hashed",
         "src/acsa_harness/llm.py",
-        "            allow_nan=False,\n",
-        "",
+        "ensure_ascii=True, allow_nan=False\n)",
+        "ensure_ascii=True\n)",
         "tests/test_llm.py::TestRequestHashing::test_non_finite_parameter_is_refused",
     ),
     Mutant(
@@ -278,6 +278,48 @@ MUTANTS = (
         "report = runner.score_run(summary.results_path, summary.split)",
         "report = runner.score_run(summary.results_path, runner._load_split(config))",
         "tests/test_runner.py::TestGrid::test_each_cell_loads_its_split_once",
+    ),
+    Mutant(
+        "split-memo-keyed-without-digest",
+        "src/acsa_harness/datasets.py",
+        "        hashlib.sha256(data).digest(),\n",
+        "",
+        "tests/test_datasets.py::TestSplitMemo::test_rewritten_file_gives_a_new_split",
+    ),
+    Mutant(
+        "mapping-memo-module-level",
+        "src/acsa_harness/runner.py",
+        "    memo: dict = {}  # this run's mapping decisions, for pp.canonicalize\n",
+        '    memo = pp.__dict__.setdefault("_memo", {})\n',
+        "tests/test_runner.py::TestMappingMemo",
+    ),
+    Mutant(
+        "cache-decode-fault-without-path",
+        "src/acsa_harness/llm.py",
+        '        raise CacheCorrupt(f"{path}: unreadable cache file ({reason})") from None\n',
+        "        raise\n",
+        "tests/test_llm.py::TestChatClient::test_cache_file_that_is_not_utf8_is_corrupt",
+    ),
+    Mutant(
+        "fixture-decode-fault-without-path",
+        "src/acsa_harness/llm.py",
+        '        raise CacheCorrupt(f"{path}: unreadable cache file ({reason})") from None\n',
+        "        raise\n",
+        "tests/test_runner.py::TestRunFatalFaults::test_fixture_that_is_not_utf8_is_a_data_error",
+    ),
+    Mutant(
+        "inventory-with-bom-read",
+        "src/acsa_harness/datasets.py",
+        "    if data.startswith(codecs.BOM_UTF8):\n",
+        "    if False:\n",
+        "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
+    ),
+    Mutant(
+        "shoes-file-with-bom-read",
+        "src/acsa_harness/datasets.py",
+        '            if lineno == 1 and line.startswith("\\ufeff"):\n',
+        "            if False:\n",
+        "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
     ),
 )
 

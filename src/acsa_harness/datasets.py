@@ -7,12 +7,25 @@ review for Shoes) with a deduplicated gold set of (category, polarity)
 pairs, plus the ordered category inventory that fills the prompt's
 category slot. Every loading fault names its file once, at the start of
 the message, and only this module decides which file that is.
+
+``load_dataset`` reads the file's bytes once, hashes them and parses
+those same bytes from memory, and a process keeps the last
+``SPLIT_MEMO_SIZE`` splits under (name, sha256 of the bytes, split,
+drop_conflict, inventory). So the cells of one ``acsa grid`` that share
+a dataset file parse it once, and an edited file is parsed again. A
+fault is raised on every call and never kept; a split is frozen, so its
+callers can share it.
 """
 
 from __future__ import annotations
 
+import codecs
+import hashlib
+import io
 import json
 import logging
+import threading
+from collections import OrderedDict
 from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
@@ -30,6 +43,12 @@ DOMAIN_BY_DATASET = {
     "MAMS": "restaurant",
     "Shoes": "shoes",
 }
+
+# Most parsed splits one process keeps. The paper's grid reads four
+# dataset files, each for six cells.
+SPLIT_MEMO_SIZE = 8
+
+_BOM_FAULT = "the file starts with a byte-order mark; save it as UTF-8 without one"
 
 # name -> (train samples, test samples, category count)
 OFFICIAL_COUNTS = {
@@ -138,10 +157,13 @@ def read_inventory(path: str | Path) -> list[str]:
     Lines end at LF, CRLF or CR only, as Shoes records do, and are taken
     verbatim after stripping surrounding whitespace (no comment syntax:
     '#' is a legal category character). Blank lines are skipped; two
-    entries that fold alike are an error.
+    entries that fold alike are an error, and so is a byte-order mark.
     """
+    data = Path(path).read_bytes()
+    if data.startswith(codecs.BOM_UTF8):
+        raise DatasetError(f"{path}: {_BOM_FAULT}")
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise DatasetError(f"{path}: not UTF-8: {err.reason} at byte offset {err.start}") from None
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -225,6 +247,8 @@ def load_xml(
     inventory: Sequence[str] | None = None,
     container: str = "Opinions",
     element: str = "Opinion",
+    *,
+    data: bytes | None = None,
 ) -> DatasetSplit:
     """Load a sentence-level ACSA XML file.
 
@@ -237,14 +261,23 @@ def load_xml(
     file that cannot be read raises its OSError unchanged.
 
     The file is parsed as a stream (``_sentences``), so the parse holds
-    little more than the split it returns.
+    little more than the split it returns; given ``data``, the file's
+    bytes that the caller has read already, it parses those instead.
     """
-    records = _xml_records(path, container, element)
+    records = _xml_records(path, data, container, element)
     return _build_split(path, name, split, records, drop_conflict, inventory)
 
 
-def _xml_records(path: str | Path, container: str, element: str) -> Iterator[tuple]:
-    with open(path, "rb") as handle:
+def _binary(path: str | Path, data: bytes | None):
+    """A binary handle on the file's bytes: ``data`` if the caller holds
+    them, else the file itself."""
+    return open(path, "rb") if data is None else io.BytesIO(data)
+
+
+def _xml_records(
+    path: str | Path, data: bytes | None, container: str, element: str
+) -> Iterator[tuple]:
+    with _binary(path, data) as handle:
         try:
             for i, sentence in enumerate(_sentences(handle)):
                 sid = sentence.get("id") or f"s{i + 1}"
@@ -298,6 +331,8 @@ def load_shoes(
     split: str = "test",
     drop_conflict: bool = False,
     inventory: Sequence[str] | None = None,
+    *,
+    data: bytes | None = None,
 ) -> DatasetSplit:
     """Load the full-review Shoes dataset from a delimited-record file.
 
@@ -308,18 +343,25 @@ def load_shoes(
 
     Records are split at line ends only (LF, CRLF or CR), so a record's
     text may hold any other character, U+2028 or a form feed included.
-    The file is read one line at a time.
+    A byte-order mark is refused. The file is read one line at a time;
+    given ``data``, the file's bytes that the caller has read already,
+    those are read instead.
     """
-    return _build_split(path, "Shoes", split, _shoes_records(path), drop_conflict, inventory)
+    records = _shoes_records(path, data)
+    return _build_split(path, "Shoes", split, records, drop_conflict, inventory)
 
 
-def _shoes_records(path: str | Path) -> Iterator[tuple]:
+def _shoes_records(path: str | Path, data: bytes | None) -> Iterator[tuple]:
     jsonl = None
     # a byte that is not UTF-8 is kept as a lone surrogate, so that the
     # fault names its line: the decoder's own offset counts within a chunk
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    with io.TextIOWrapper(
+        _binary(path, data), encoding="utf-8", errors="surrogateescape"
+    ) as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.removesuffix("\n")
+            if lineno == 1 and line.startswith("\ufeff"):
+                raise MalformedRecord(f"{path}: {_BOM_FAULT}")
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
@@ -373,6 +415,11 @@ def _shoes_tsv_record(line: str, where: str, lineno: int):
     return rid, text, out
 
 
+# the splits load_dataset parsed, least recently used first
+_splits: OrderedDict[tuple, DatasetSplit] = OrderedDict()
+_splits_lock = threading.Lock()
+
+
 def load_dataset(
     name: str,
     path: str | Path,
@@ -380,16 +427,38 @@ def load_dataset(
     drop_conflict: bool = False,
     inventory: Sequence[str] | None = None,
 ) -> DatasetSplit:
-    """Dispatch to the loader for one of the four dataset names."""
-    if name in ("Laptop16", "Restaurant16"):
-        return load_xml(path, name, split, drop_conflict, inventory)
-    if name == "MAMS":
-        return load_xml(
-            path, name, split, drop_conflict, inventory, "aspectCategories", "aspectCategory"
-        )
+    """Load one of the four dataset names through its loader, or return
+    the split this process already parsed from the same bytes with the
+    same arguments (see the module docstring)."""
+    if name not in DATASET_NAMES:
+        raise DatasetError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
+    data = Path(path).read_bytes()
+    key = (
+        name,
+        hashlib.sha256(data).digest(),
+        split,
+        drop_conflict,
+        None if inventory is None else tuple(inventory),
+    )
+    with _splits_lock:
+        found = _splits.get(key)
+        if found is not None:
+            _splits.move_to_end(key)
+            return found
     if name == "Shoes":
-        return load_shoes(path, split, drop_conflict, inventory)
-    raise DatasetError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
+        found = load_shoes(path, split, drop_conflict, inventory, data=data)
+    elif name == "MAMS":
+        found = load_xml(
+            path, name, split, drop_conflict, inventory, "aspectCategories", "aspectCategory",
+            data=data,
+        )
+    else:
+        found = load_xml(path, name, split, drop_conflict, inventory, data=data)
+    with _splits_lock:
+        _splits[key] = found
+        if len(_splits) > SPLIT_MEMO_SIZE:
+            _splits.popitem(last=False)
+    return found
 
 
 def verify_official_counts(split: DatasetSplit) -> None:

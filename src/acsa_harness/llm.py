@@ -73,6 +73,13 @@ class DecodeParams:
     max_output_tokens: int = 4096
 
 
+# the JSON a request is hashed as; built once, as json.dumps would build
+# it on every call with these options
+_REQUEST_JSON = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False
+)
+
+
 @dataclass(frozen=True)
 class ChatRequest:
     model_id: str
@@ -98,10 +105,7 @@ class ChatRequest:
     def canonical_json(self) -> str:
         """Raises ValueError for an infinite or NaN decode parameter, which
         JSON cannot hold."""
-        return json.dumps(
-            self.as_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=True,
-            allow_nan=False,
-        )
+        return _REQUEST_JSON.encode(self.as_dict())
 
     @property
     def cache_key(self) -> str:
@@ -175,12 +179,16 @@ def read_cache_file(path: Path, expected_hash: str) -> str:
 
     A missing file raises FileNotFoundError, which callers take as a
     cache miss or a missing fixture; any other fault reading the file,
-    or a payload that fails the checks, raises CacheCorrupt.
+    bytes that are not UTF-8, or a payload that fails the checks, raises
+    CacheCorrupt.
     """
     try:
-        payload = json.loads(path.read_text("utf-8"))
+        payload = json.loads(path.read_bytes().decode("utf-8"))
     except FileNotFoundError:
         raise
+    except UnicodeDecodeError as err:
+        reason = f"not UTF-8: {err.reason} at byte offset {err.start}"
+        raise CacheCorrupt(f"{path}: unreadable cache file ({reason})") from None
     except (OSError, json.JSONDecodeError) as err:
         raise CacheCorrupt(f"{path}: unreadable cache file ({err})") from err
     if not isinstance(payload, dict):

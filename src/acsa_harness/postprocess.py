@@ -78,6 +78,8 @@ _ESCAPE = re.compile(r"\\(.)")
 
 
 def _unquote(quoted: str) -> str:
+    if "\\" not in quoted:
+        return quoted[1:-1]
     return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[0]), quoted[1:-1])
 
 
@@ -307,23 +309,41 @@ def normalize_polarity(text: str, cutoff: float = DEFAULT_CUTOFF) -> Polarity | 
 
 
 def canonicalize(
-    raw_pairs, inventory: PreparedInventory, cutoff: float = DEFAULT_CUTOFF
+    raw_pairs,
+    inventory: PreparedInventory,
+    cutoff: float = DEFAULT_CUTOFF,
+    memo: dict | None = None,
 ) -> tuple[frozenset[Pair], list[MappingOutcome]]:
     """Map raw pairs onto the prepared inventory, dropping what cannot be mapped.
 
     Returns the deduplicated pair set plus one MappingOutcome per input
     pair, preserving full provenance for the results file.
+
+    ``memo`` keeps each mapping decision for the next call with the same
+    inventory: a folded category maps to its ``(entry, score)``, and a
+    ``(polarity text, cutoff)`` to its Polarity or None. A run passes one
+    dict to every call, so each distinct spelling is searched once per
+    run.
     """
     if not 0.0 <= cutoff <= 1.0:
         raise ValueError(f"cutoff must be in [0, 1], got {cutoff}")
+    if memo is None:
+        memo = {}
     outcomes: list[MappingOutcome] = []
     mapped: list[Pair] = []
     for raw in raw_pairs:
-        entry, score = _best_category(_fold(raw.category_text), inventory)
+        folded = _fold(raw.category_text)
+        found = memo.get(folded)
+        if found is None:
+            found = memo[folded] = _best_category(folded, inventory)
+        entry, score = found
         if entry is None or score < cutoff:
             outcomes.append(MappingOutcome(raw, None, score, "below-cutoff"))
             continue
-        polarity = normalize_polarity(raw.polarity_text, cutoff)
+        key = (raw.polarity_text, cutoff)
+        if key not in memo:
+            memo[key] = normalize_polarity(raw.polarity_text, cutoff)
+        polarity = memo[key]
         if polarity is None:
             outcomes.append(MappingOutcome(raw, None, score, "bad-polarity"))
             continue

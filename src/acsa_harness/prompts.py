@@ -74,12 +74,23 @@ def substitute(template: str, values: Mapping[str, str]) -> str:
     that happens to contain a placeholder token cannot trigger a second
     substitution.
     """
-    pattern = re.compile("|".join(re.escape(k) for k in values))
-    return pattern.sub(lambda m: values[m.group(0)], template)
+    return _pattern(tuple(values)).sub(lambda m: values[m.group(0)], template)
+
+
+@lru_cache(maxsize=16)
+def _pattern(placeholders: tuple[str, ...]) -> re.Pattern:
+    """The alternation of ``placeholders``, compiled once per tuple."""
+    return re.compile("|".join(map(re.escape, placeholders)))
 
 
 def render_categories(categories: Sequence[str]) -> str:
     """Comma-separated single-quoted categories, in inventory order."""
+    return _rendered(tuple(categories))
+
+
+@lru_cache(maxsize=16)
+def _rendered(categories: tuple[str, ...]) -> str:
+    """``render_categories``, built once per category tuple."""
     return ", ".join(f"'{c}'" for c in categories)
 
 

@@ -7,13 +7,14 @@ one JSONL record per sample plus a manifest. With the replay backend the
 whole pipeline is bit-deterministic across runs and machines.
 
 A run's memory does not grow with the answers, and apart from the
-split itself not with the number of samples either. The dataset file is
-parsed as a stream that keeps only the samples. Each request is built
-when its answer is asked for, and each record is written to the results
-file as soon as it is built. The exception is an HTTP run: it builds
-every request before the first answer, to submit the cache misses to
-the pool (see ``ChatClient.answers``). Scoring reads the results file
-one line at a time and keeps one pair set per record.
+split itself not with the number of samples either. The dataset file's
+bytes are held while they are parsed, and the parse keeps only the
+samples. Each request is built when its answer is asked for, and each
+record is written to the results file as soon as it is built. The
+exception is an HTTP run: it builds every request before the first
+answer, to submit the cache misses to the pool (see
+``ChatClient.answers``). Scoring reads the results file one line at a
+time and keeps one pair set per record.
 
 Answers come from ``ChatClient.answers`` in sample order; extraction,
 mapping and record building all run on the calling thread.
@@ -21,7 +22,12 @@ mapping and record building all run on the calling thread.
 A process prepares each exemplar file and each category inventory once:
 the formatted exemplar block is kept under the file's name and content,
 the prepared inventory under the split's category tuple, so the cells of
-one ``acsa grid`` share them (``load_grid`` reads the grid file).
+one ``acsa grid`` share them (``load_grid`` reads the grid file). The
+split itself is kept by ``datasets.load_dataset`` under the file's
+content. A run maps each distinct raw spelling once: one dict, made by
+``run`` and dropped with it, keeps the mapping decisions
+(``postprocess.canonicalize``), so that no run's search cost hides in
+another's.
 """
 
 from __future__ import annotations
@@ -407,6 +413,7 @@ def _process_job(
     answer: ChatResponse | LlmError,
     inventory: pp.PreparedInventory,
     cutoff: float,
+    memo: dict,
 ):
     record = {
         "schema_version": RESULTS_SCHEMA_VERSION,
@@ -430,12 +437,17 @@ def _process_job(
     except pp.NoListFound:
         record["format_failure"] = True
         raw_pairs = []
-    pairs, outcomes = pp.canonicalize(raw_pairs, inventory, cutoff)
+    pairs, outcomes = pp.canonicalize(raw_pairs, inventory, cutoff, memo)
     record["raw_pairs"] = [[r.category_text, r.polarity_text] for r in raw_pairs]
     record["outcomes"] = [_outcome_to_json(o) for o in outcomes]
     record["pairs"] = _pairs_to_json(pairs)
     dropped = sum(1 for o in outcomes if o.dropped_reason is not None)
     return record, answer.backend, dropped
+
+
+# one results line; built once, as json.dumps would build it on every
+# call with these options
+_RECORD_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=True)
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -471,12 +483,13 @@ def run(config: RunConfig) -> RunSummary:
     results_path = Path(config.output_path)
     digest = hashlib.sha256()
     n_cache_hits = n_dropped = n_errors = n_format = 0
+    memo: dict = {}  # this run's mapping decisions, for pp.canonicalize
     with atomic_file(results_path) as out, closing(
         client.answers(job.request for job in ahead)
     ) as answers:
         for job, answer in zip(jobs, answers):
-            record, backend, dropped = _process_job(job, answer, inventory, config.cutoff)
-            line = json.dumps(record, sort_keys=True, ensure_ascii=True) + "\n"
+            record, backend, dropped = _process_job(job, answer, inventory, config.cutoff, memo)
+            line = _RECORD_JSON.encode(record) + "\n"
             out.write(line)
             digest.update(line.encode("ascii"))
             n_cache_hits += backend == "cache"

@@ -1,8 +1,9 @@
 """Shared test utilities: random graph generation, independent oracles,
 and the files of the committed replay grid.
 
-Apart from ``load_document``, ``GRID_DIGESTS`` and ``e2e_grid_toml`` at
-the end, a loader, the replay grid's pins and a file builder, everything
+Apart from ``load_document``, ``GRID_DIGESTS``, ``e2e_grid_toml`` and
+``count_parses`` at the end, a loader, the replay grid's pins, a file
+builder and a parse counter, everything
 here is deliberately written against the raw definitions (no calls
 into the implementation paths it checks): the gestalt reference recurses
 on longest matching blocks directly, the F tail integrates the density
@@ -742,3 +743,19 @@ def e2e_grid_toml(out_dir: Path, methods=("baseline", "umr")) -> str:
             if method == "umr":
                 lines.append(f"exemplar_paths = {json.dumps(exemplars)}")
     return "\n".join(lines) + "\n"
+
+
+def count_parses(monkeypatch, datasets) -> list[str]:
+    """The names of the files that the loaders of the module ``datasets``
+    parse from now on, in call order; ``load_dataset`` reaches them only
+    on a split memo miss."""
+    parsed: list[str] = []
+    for loader in ("load_xml", "load_shoes"):
+        original = getattr(datasets, loader)
+
+        def counting(path, *args, _original=original, **kwargs):
+            parsed.append(Path(path).name)
+            return _original(path, *args, **kwargs)
+
+        monkeypatch.setattr(datasets, loader, counting)
+    return parsed

@@ -7,6 +7,7 @@ from xml.etree import ElementTree as ET
 from xml.sax.saxutils import escape, quoteattr
 
 import pytest
+from helpers import count_parses
 
 from acsa_harness import datasets as ds
 from acsa_harness.datasets import (
@@ -673,3 +674,90 @@ class TestInventoryAndCounts:
         path.write_text(xml, "utf-8")
         with pytest.raises(DatasetError):
             load_xml(path, "Restaurant16")
+
+    def test_byte_order_mark_is_refused(self, tmp_path):
+        # a config file is refused alike; read as data, the mark would
+        # start the first category, or turn a JSONL file into TSV
+        message = "the file starts with a byte-order mark; save it as UTF-8 without one"
+        path = tmp_path / "inv.txt"
+        path.write_text("\ufeffFOOD#QUALITY\nSERVICE#GENERAL\n", "utf-8")
+        with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_inventory(path)
+        path = tmp_path / "shoes.jsonl"
+        path.write_text('\ufeff{"text": "Snug.", "pairs": [["fit", "positive"]]}\n', "utf-8")
+        with pytest.raises(MalformedRecord, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_shoes(path)
+        path.write_text('{"text": "Snug \ufeff.", "pairs": [["fit", "positive"]]}\n', "utf-8")
+        assert load_shoes(path).samples[0].text == "Snug \ufeff."
+
+
+class TestSplitMemo:
+    """``load_dataset`` parses a file's bytes once per process for equal
+    arguments. Each test starts from an empty memo."""
+
+    @pytest.fixture(autouse=True)
+    def parses(self, monkeypatch):
+        ds._splits.clear()
+        yield count_parses(monkeypatch, ds)
+        ds._splits.clear()
+
+    def test_equal_content_and_arguments_share_one_split(self, tmp_path, parses):
+        path = tmp_path / "rest.xml"
+        path.write_text(SEMEVAL_XML, "utf-8")
+        copy = tmp_path / "copy.xml"
+        copy.write_text(SEMEVAL_XML, "utf-8")
+        split = load_dataset("Restaurant16", path)
+        assert load_dataset("Restaurant16", path) is split
+        assert load_dataset("Restaurant16", copy) is split
+        assert parses == ["rest.xml"]
+
+    def test_rewritten_file_gives_a_new_split(self, tmp_path, parses):
+        path = tmp_path / "rest.xml"
+        path.write_text(SEMEVAL_XML, "utf-8")
+        before = load_dataset("Restaurant16", path)
+        path.write_text(SEMEVAL_XML.replace("was rude", "was kind"), "utf-8")
+        after = load_dataset("Restaurant16", path)
+        assert before.samples[0].text.endswith("was rude.")
+        assert after.samples[0].text.endswith("was kind.")
+        assert parses == ["rest.xml", "rest.xml"]
+
+    def test_other_arguments_miss(self, tmp_path, parses):
+        path = tmp_path / "rest.xml"
+        path.write_text(SEMEVAL_XML, "utf-8")
+        inventory = ["FOOD#QUALITY", "SERVICE#GENERAL", "RESTAURANT#PRICES"]
+        calls = [
+            {},
+            {"split": "train"},
+            {"drop_conflict": True},
+            {"inventory": inventory},
+            {"inventory": inventory[::-1]},
+        ]
+        splits = [load_dataset("Restaurant16", path, **kwargs) for kwargs in calls]
+        assert len({id(split) for split in splits}) == len(calls) == len(parses)
+        assert splits[1].split == "train" and splits[3].categories == tuple(inventory)
+        assert load_dataset("Laptop16", path).name == "Laptop16"
+        for kwargs, split in zip(calls, splits):
+            assert load_dataset("Restaurant16", path, **kwargs) is split
+        # an inventory list or tuple of the same entries is one key
+        assert load_dataset("Restaurant16", path, inventory=tuple(inventory)) is splits[3]
+        assert len(parses) == len(calls) + 1
+
+    def test_bad_file_raises_on_every_call(self, tmp_path, parses):
+        path = tmp_path / "shoes.jsonl"
+        path.write_text('{"id": "x", "text": "Snug.", "pairs": [["fit", "great"]]}\n', "utf-8")
+        for _ in range(2):
+            with pytest.raises(UnknownPolarityValue, match="unknown polarity 'great'"):
+                load_dataset("Shoes", path)
+        assert parses == ["shoes.jsonl"] * 2
+        path.write_text('{"id": "x", "text": "Snug.", "pairs": [["fit", "positive"]]}\n', "utf-8")
+        assert load_dataset("Shoes", path).samples[0].gold == {Pair("fit", Polarity.POSITIVE)}
+
+    def test_memo_is_bounded(self, tmp_path, parses):
+        path = tmp_path / "rest.xml"
+        for i in range(ds.SPLIT_MEMO_SIZE + 1):
+            path.write_text(SEMEVAL_XML.replace("1:2", f"1:{i + 2}"), "utf-8")
+            load_dataset("Restaurant16", path)
+        assert len(ds._splits) == ds.SPLIT_MEMO_SIZE
+        path.write_text(SEMEVAL_XML, "utf-8")  # the first content, dropped
+        load_dataset("Restaurant16", path)
+        assert len(parses) == ds.SPLIT_MEMO_SIZE + 2

@@ -146,6 +146,22 @@ class TestChatClient:
             read_cache_file(path, "abc")
         assert str(caught.value).startswith(f"{path}: ")
 
+    def test_cache_file_that_is_not_utf8_is_corrupt(self, tmp_path):
+        backend = FakeBackend()
+        client = ChatClient(backend, cache_dir=tmp_path / "cache")
+        request = make_request()
+        client.chat(request)
+        path = tmp_path / "cache" / f"{request.cache_key}.json"
+        path.write_bytes(path.read_bytes().replace(b"reply text", b"r\xe9ply text"))
+        with pytest.raises(CacheCorrupt) as caught:
+            client.chat(request)
+        offset = path.read_bytes().index(b"\xe9")
+        assert str(caught.value) == (
+            f"{path}: unreadable cache file "
+            f"(not UTF-8: invalid continuation byte at byte offset {offset})"
+        )
+        assert backend.calls == 1
+
     def test_file_gone_after_an_existence_check_is_a_miss(self, tmp_path, monkeypatch):
         # every existence check says yes, as if the file was removed after
         # it; the lookup opens the file and takes its absence as a miss

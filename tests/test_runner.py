@@ -10,9 +10,10 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from helpers import e2e_grid_toml
+from helpers import GRID_DIGESTS, count_parses, e2e_grid_toml
 
 from acsa_harness import cli, llm, runner
+from acsa_harness import postprocess as pp
 from acsa_harness.datasets import load_xml
 from acsa_harness.llm import (
     AuthError,
@@ -985,6 +986,19 @@ class TestRunFatalFaults:
         assert "Traceback" not in err
         assert_nothing_written(config)
 
+    def test_fixture_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        config = make_config(tmp_path)
+        write_fixtures(config)
+        job = prepare_jobs(config, _load_split(config))[1]
+        fixture = Path(config.fixture_dir) / f"{job.request.cache_key}.json"
+        fixture.write_bytes(b'{"request_hash": "caf\xe9"}')
+        assert cli.main(run_argv(config)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {fixture}: unreadable cache file "
+            "(not UTF-8: invalid continuation byte at byte offset 21)\n"
+        )
+        assert_nothing_written(config)
+
     def test_corrupt_replay_entry_mid_run_leaves_no_temp_file(self, tmp_path, monkeypatch):
         # the first 20 records are written to the temp file before sample 20's
         # corrupt fixture is read on the calling thread
@@ -1178,6 +1192,8 @@ class TestCli:
         "jsonl-utf8": ":402: not UTF-8: invalid continuation byte",
         "inventory-utf8": ": not UTF-8: invalid start byte at byte offset 20020",
         "exemplar-utf8": ": not UTF-8: invalid start byte at byte offset 20011",
+        "jsonl-bom": ": the file starts with a byte-order mark; save it as UTF-8 without one",
+        "inventory-bom": ": the file starts with a byte-order mark; save it as UTF-8 without one",
     }
 
     @pytest.mark.parametrize("case", LOADING_FAULTS)
@@ -1199,6 +1215,8 @@ class TestCli:
             if case == "jsonl-id":
                 line = '{"id": "x", "text": "Snug.", "pairs": [["fit", "positive"]]}\n'
                 named.write_text(line * 2, "utf-8")
+            elif case == "jsonl-bom":
+                named.write_text('\ufeff{"id": "x", "text": "Snug.", "pairs": []}\n', "utf-8")
             else:
                 lines = [f'{{"id": "r{i}", "text": "Snug \u00e9.", "pairs": []}}\r\n'.encode()
                          for i in range(400)]
@@ -1208,6 +1226,11 @@ class TestCli:
             inventory = tmp_path / "inventory.txt"
             if case == "inventory":
                 inventory.write_text("FOOD#QUALITY\nDRINKS#PRICES\n", "utf-8")
+            elif case == "inventory-bom":
+                named = inventory
+                inventory.write_text(
+                    "\ufeffFOOD#QUALITY\nSERVICE#GENERAL\nDRINKS#PRICES\n", "utf-8"
+                )
             else:
                 named = inventory
                 inventory.write_bytes(b"FOOD#QUALITY\r\n" * 1430 + b"\xffOOD\n")
@@ -1437,9 +1460,9 @@ class TestPreparationMemos:
         used = []
         process = runner._process_job
 
-        def recording(job, answer, inventory, cutoff):
+        def recording(job, answer, inventory, cutoff, memo):
             used.append(inventory)
-            return process(job, answer, inventory, cutoff)
+            return process(job, answer, inventory, cutoff, memo)
 
         monkeypatch.setattr(runner, "_process_job", recording)
         inventory = tmp_path / "inventory.txt"
@@ -1470,6 +1493,42 @@ class TestPreparationMemos:
             runner._prepared_inventory((f"CATEGORY#{i}",))
         info = runner._prepared_inventory.cache_info()
         assert (info.maxsize, info.currsize) == (runner.INVENTORY_MEMO_SIZE,) * 2
+
+
+class TestMappingMemo:
+    """A run maps each distinct raw spelling once; the next run maps it
+    again, so a run's search cost never hides in another's."""
+
+    def test_each_spelling_is_searched_once_per_run(self, tmp_path, monkeypatch):
+        searched = []
+        best_category = pp._best_category
+
+        def counting(folded, inventory):
+            kind = "polarity" if inventory is pp._PREPARED_POLARITY_LABELS else "category"
+            searched.append((kind, folded))
+            return best_category(folded, inventory)
+
+        monkeypatch.setattr(pp, "_best_category", counting)
+        config = make_config(tmp_path)
+        answer = "[('food qualty', 'positive'), ('Food  Qualty', 'postive'), ('service', 'bad')]"
+        write_fixtures(config, dict.fromkeys(CANNED, answer))
+        results = []
+        for _ in range(2):
+            searched.clear()
+            summary = run(config)
+            assert (summary.n_samples, summary.n_dropped_pairs) == (4, 4)
+            assert sorted(searched) == [
+                ("category", "food qualty"),
+                ("category", "service"),
+                ("polarity", "bad"),
+                ("polarity", "positive"),
+                ("polarity", "postive"),
+            ]
+            results.append(Path(config.output_path).read_bytes())
+        assert results[0] == results[1]
+        record = json.loads(results[0].splitlines()[0])
+        assert record["pairs"] == [["FOOD#QUALITY", "positive"]]
+        assert [o["dropped_reason"] for o in record["outcomes"]] == [None, None, "bad-polarity"]
 
 
 def write_grid(path: Path, shared: dict, cells: dict) -> Path:
@@ -1543,6 +1602,29 @@ class TestGrid:
         assert cli.main(["grid", "--config", str(grid), "--scores", str(scores)]) == 0
         assert len(loads) == 8
         assert sorted(set(loads)) == ["Laptop16", "MAMS", "Restaurant16", "Shoes"]
+
+    def test_second_grid_in_a_process_parses_no_split(self, tmp_path, monkeypatch):
+        runner.ds._splits.clear()
+        parsed = count_parses(monkeypatch, runner.ds)
+        passes = []
+        for attempt in ("first", "second"):
+            out = tmp_path / attempt
+            grid = tmp_path / f"{attempt}.toml"
+            grid.write_text(e2e_grid_toml(out), "utf-8")
+            argv = ["grid", "--config", str(grid), "--scores", str(out / "scores.csv")]
+            assert cli.main(argv) == 0
+            for (dataset, method), pin in GRID_DIGESTS.items():
+                manifest = json.loads(
+                    (out / f"{dataset}_{method}.manifest.json").read_text("utf-8")
+                )
+                assert manifest["results_sha256"] == pin, f"{attempt} {dataset}/{method}"
+            passes.append(sorted(parsed))
+            parsed.clear()
+        files = ["laptop16_test.xml", "mams_test.xml", "restaurant16_test.xml", "shoes_test.jsonl"]
+        assert passes == [files, []]
+        assert (tmp_path / "first" / "scores.csv").read_bytes() == (
+            tmp_path / "second" / "scores.csv"
+        ).read_bytes()
 
     @pytest.mark.parametrize(
         "changes,message",
