@@ -78,8 +78,8 @@ MUTANTS = (
     Mutant(
         "results-record-not-an-object",
         "src/acsa_harness/runner.py",
-        "            if not isinstance(record, dict):\n",
-        "            if False:\n",
+        "        if not isinstance(record, dict):\n",
+        "        if False:\n",
         "tests/test_runner.py::TestScoreRun::test_record_that_is_not_an_object_is_a_data_error",
     ),
     Mutant(
@@ -155,13 +155,13 @@ MUTANTS = (
     Mutant(
         "non-finite-score-read",
         "src/acsa_harness/metrics.py",
-        "            if not math.isfinite(value):\n",
-        "            if False:\n",
+        "        if not math.isfinite(value):\n",
+        "        if False:\n",
         "tests/test_metrics.py::TestScoreRows::test_non_finite_score",
     ),
     Mutant(
         "config-file-with-bom-read",
-        "src/acsa_harness/runner.py",
+        "src/acsa_harness/llm.py",
         "    if data.startswith(codecs.BOM_UTF8):\n",
         "    if False:\n",
         "tests/test_runner.py::TestFlatConfig::test_config_file_must_be_utf8_without_bom",
@@ -203,9 +203,9 @@ MUTANTS = (
     ),
     Mutant(
         "shoes-decode-fault-without-line",
-        "src/acsa_harness/datasets.py",
-        '_binary(path, data), encoding="utf-8", errors="surrogateescape"',
-        '_binary(path, data), encoding="utf-8"',
+        "src/acsa_harness/llm.py",
+        'open(path, encoding="utf-8", errors="surrogateescape")',
+        'open(path, encoding="utf-8")',
         "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
     ),
     Mutant(
@@ -260,9 +260,8 @@ MUTANTS = (
     Mutant(
         "exemplars-keyed-by-name",
         "src/acsa_harness/runner.py",
-        'exemplars.append(_exemplar(path.name, path.read_text("utf-8")))',
-        "exemplars.append(_exemplar(path.name, _exemplar.__dict__.setdefault("
-        'path.name, path.read_text("utf-8"))))',
+        "exemplars.append(_exemplar(path.name, text))",
+        "exemplars.append(_exemplar(path.name, _exemplar.__dict__.setdefault(path.name, text)))",
         "tests/test_runner.py::TestPreparationMemos::test_rewritten_file_gives_new_blocks",
     ),
     Mutant(
@@ -282,8 +281,8 @@ MUTANTS = (
     Mutant(
         "split-memo-keyed-without-digest",
         "src/acsa_harness/datasets.py",
-        "        hashlib.sha256(data).digest(),\n",
-        "",
+        "key = (name, digest, split,",
+        "key = (name, split,",
         "tests/test_datasets.py::TestSplitMemo::test_rewritten_file_gives_a_new_split",
     ),
     Mutant(
@@ -296,30 +295,101 @@ MUTANTS = (
     Mutant(
         "cache-decode-fault-without-path",
         "src/acsa_harness/llm.py",
-        '        raise CacheCorrupt(f"{path}: unreadable cache file ({reason})") from None\n',
+        '        raise error(f"{path}: not UTF-8: {err.reason} at byte offset {err.start}") from None\n',
         "        raise\n",
         "tests/test_llm.py::TestChatClient::test_cache_file_that_is_not_utf8_is_corrupt",
     ),
     Mutant(
         "fixture-decode-fault-without-path",
         "src/acsa_harness/llm.py",
-        '        raise CacheCorrupt(f"{path}: unreadable cache file ({reason})") from None\n',
+        '        raise error(f"{path}: not UTF-8: {err.reason} at byte offset {err.start}") from None\n',
         "        raise\n",
         "tests/test_runner.py::TestRunFatalFaults::test_fixture_that_is_not_utf8_is_a_data_error",
     ),
     Mutant(
         "inventory-with-bom-read",
-        "src/acsa_harness/datasets.py",
+        "src/acsa_harness/llm.py",
         "    if data.startswith(codecs.BOM_UTF8):\n",
         "    if False:\n",
         "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
     ),
     Mutant(
         "shoes-file-with-bom-read",
-        "src/acsa_harness/datasets.py",
+        "src/acsa_harness/llm.py",
         '            if lineno == 1 and line.startswith("\\ufeff"):\n',
         "            if False:\n",
         "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
+    ),
+    # each caller of the reader, reading its file plainly instead
+    Mutant(
+        "config-file-read-plainly",
+        "src/acsa_harness/runner.py",
+        "tomllib.loads(read_text(path, ConfigError))",
+        'tomllib.loads(Path(path).read_text("utf-8"))',
+        "tests/test_runner.py::TestFlatConfig::test_config_file_must_be_utf8_without_bom",
+    ),
+    Mutant(
+        "inventory-read-plainly",
+        "src/acsa_harness/datasets.py",
+        "    text = read_text(path, DatasetError)\n",
+        '    text = Path(path).read_text("utf-8")\n',
+        "tests/test_datasets.py::TestInventoryAndCounts::test_byte_order_mark_is_refused",
+    ),
+    Mutant(
+        "shoes-file-read-plainly",
+        "src/acsa_harness/datasets.py",
+        "for lineno, line in read_lines(path, MalformedRecord):",
+        'for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):',
+        "tests/test_datasets.py::TestInventoryAndCounts::test_byte_order_mark_is_refused",
+    ),
+    Mutant(
+        "results-file-read-plainly",
+        "src/acsa_harness/runner.py",
+        "for lineno, line in read_lines(path, RunDataError):",
+        'for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):',
+        "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
+    ),
+    Mutant(
+        "scores-file-read-plainly",
+        "src/acsa_harness/metrics.py",
+        "read_text(path, ValueError)",
+        'Path(path).read_text("utf-8")',
+        "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
+    ),
+    Mutant(
+        "exemplar-file-read-plainly",
+        "src/acsa_harness/runner.py",
+        "            text = read_text(path, UmrError)\n",
+        '            text = path.read_text("utf-8")\n',
+        "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
+    ),
+    Mutant(
+        "cache-file-read-plainly",
+        "src/acsa_harness/llm.py",
+        "json.loads(read_text(path, CacheCorrupt))",
+        'json.loads(path.read_text("utf-8"))',
+        "tests/test_llm.py::TestChatClient::test_cache_file_that_is_not_utf8_is_corrupt",
+    ),
+    Mutant(
+        "parse-umr-input-read-plainly",
+        "src/acsa_harness/cli.py",
+        "read_lines(args.path, umr.UmrError)",
+        'enumerate(open(args.path, encoding="utf-8"), 1)',
+        "tests/test_runner.py::TestCli::test_loading_fault_names_the_file_once",
+    ),
+    Mutant(
+        "template-read-plainly",
+        "src/acsa_harness/prompts.py",
+        'read_text(_TEMPLATES / f"{name}.txt", PromptError)',
+        '(_TEMPLATES / f"{name}.txt").read_text("utf-8")',
+        "tests/test_prompts.py::TestTemplateFidelity::test_template_file_is_read_as_utf8_without_bom",
+    ),
+    Mutant(
+        "split-kept-after-a-rewrite-during-its-parse",
+        "src/acsa_harness/datasets.py",
+        "    if _sha256(path) == digest:\n",
+        "    if True:\n",
+        "tests/test_datasets.py::TestSplitMemo::test_file_rewritten_during_its_parse_is_parsed_again",
     ),
 )
 

@@ -11,11 +11,10 @@ import argparse
 import json
 import logging
 import sys
-from pathlib import Path
 
 from . import datasets as ds
 from . import metrics, runner, stats, umr
-from .llm import AuthError, ChatClient, LlmError
+from .llm import AuthError, ChatClient, LlmError, read_lines
 from .runner import ConfigError, RunConfig, RunDataError, load_config
 
 EXIT_OK = 0
@@ -202,7 +201,8 @@ def _cmd_anova(args) -> int:
 
 
 def _cmd_parse_umr(args) -> int:
-    text = Path(args.path).read_text("utf-8")
+    # joined at LF, the only line end a graph error's position counts
+    text = "\n".join(line for _, line in read_lines(args.path, umr.UmrError))
     try:
         document = umr.parse_document(text, source_id=str(args.path))
     except umr.NoEntriesFound:

@@ -8,20 +8,20 @@ pairs, plus the ordered category inventory that fills the prompt's
 category slot. Every loading fault names its file once, at the start of
 the message, and only this module decides which file that is.
 
-``load_dataset`` reads the file's bytes once, hashes them and parses
-those same bytes from memory, and a process keeps the last
-``SPLIT_MEMO_SIZE`` splits under (name, sha256 of the bytes, split,
-drop_conflict, inventory). So the cells of one ``acsa grid`` that share
-a dataset file parse it once, and an edited file is parsed again. A
-fault is raised on every call and never kept; a split is frozen, so its
-callers can share it.
+Every format is parsed as a stream, so a parse holds little more than
+the split it returns. A process keeps the last ``SPLIT_MEMO_SIZE`` splits
+``load_dataset`` parsed under (name, sha256 of the file, split,
+drop_conflict, inventory), and only when the file hashes alike before
+and after its parse. So the cells of one ``acsa grid`` that share a
+dataset file parse it once, and a file edited before or during a parse
+is parsed again. A fault is raised on every call and never kept; a split
+is frozen, so its callers can share it. XML files are read as bytes,
+since XML declares its own encoding; text files by ``llm``'s reader.
 """
 
 from __future__ import annotations
 
-import codecs
 import hashlib
-import io
 import json
 import logging
 import threading
@@ -32,6 +32,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
 from xml.etree import ElementTree as ET
+
+from .llm import read_lines, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -47,8 +49,6 @@ DOMAIN_BY_DATASET = {
 # Most parsed splits one process keeps. The paper's grid reads four
 # dataset files, each for six cells.
 SPLIT_MEMO_SIZE = 8
-
-_BOM_FAULT = "the file starts with a byte-order mark; save it as UTF-8 without one"
 
 # name -> (train samples, test samples, category count)
 OFFICIAL_COUNTS = {
@@ -157,15 +157,9 @@ def read_inventory(path: str | Path) -> list[str]:
     Lines end at LF, CRLF or CR only, as Shoes records do, and are taken
     verbatim after stripping surrounding whitespace (no comment syntax:
     '#' is a legal category character). Blank lines are skipped; two
-    entries that fold alike are an error, and so is a byte-order mark.
+    entries that fold alike are an error, and so is a fault of ``read_text``.
     """
-    data = Path(path).read_bytes()
-    if data.startswith(codecs.BOM_UTF8):
-        raise DatasetError(f"{path}: {_BOM_FAULT}")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise DatasetError(f"{path}: not UTF-8: {err.reason} at byte offset {err.start}") from None
+    text = read_text(path, DatasetError)
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     categories = [entry for entry in map(str.strip, lines) if entry]
     if not categories:
@@ -247,8 +241,6 @@ def load_xml(
     inventory: Sequence[str] | None = None,
     container: str = "Opinions",
     element: str = "Opinion",
-    *,
-    data: bytes | None = None,
 ) -> DatasetSplit:
     """Load a sentence-level ACSA XML file.
 
@@ -261,23 +253,14 @@ def load_xml(
     file that cannot be read raises its OSError unchanged.
 
     The file is parsed as a stream (``_sentences``), so the parse holds
-    little more than the split it returns; given ``data``, the file's
-    bytes that the caller has read already, it parses those instead.
+    little more than the split it returns.
     """
-    records = _xml_records(path, data, container, element)
+    records = _xml_records(path, container, element)
     return _build_split(path, name, split, records, drop_conflict, inventory)
 
 
-def _binary(path: str | Path, data: bytes | None):
-    """A binary handle on the file's bytes: ``data`` if the caller holds
-    them, else the file itself."""
-    return open(path, "rb") if data is None else io.BytesIO(data)
-
-
-def _xml_records(
-    path: str | Path, data: bytes | None, container: str, element: str
-) -> Iterator[tuple]:
-    with _binary(path, data) as handle:
+def _xml_records(path: str | Path, container: str, element: str) -> Iterator[tuple]:
+    with open(path, "rb") as handle:
         try:
             for i, sentence in enumerate(_sentences(handle)):
                 sid = sentence.get("id") or f"s{i + 1}"
@@ -331,8 +314,6 @@ def load_shoes(
     split: str = "test",
     drop_conflict: bool = False,
     inventory: Sequence[str] | None = None,
-    *,
-    data: bytes | None = None,
 ) -> DatasetSplit:
     """Load the full-review Shoes dataset from a delimited-record file.
 
@@ -341,39 +322,24 @@ def load_shoes(
     pairs ([[category, polarity], ...]); anything else is tab-separated
     ``id<TAB>text<TAB>cat<TAB>pol[<TAB>cat<TAB>pol ...]``.
 
-    Records are split at line ends only (LF, CRLF or CR), so a record's
-    text may hold any other character, U+2028 or a form feed included.
-    A byte-order mark is refused. The file is read one line at a time;
-    given ``data``, the file's bytes that the caller has read already,
-    those are read instead.
+    The file is read one line at a time by ``llm.read_lines``, so records
+    are split at line ends only (LF, CRLF or CR) and a record's text may
+    hold any other character, U+2028 or a form feed included.
     """
-    records = _shoes_records(path, data)
+    records = _shoes_records(path)
     return _build_split(path, "Shoes", split, records, drop_conflict, inventory)
 
 
-def _shoes_records(path: str | Path, data: bytes | None) -> Iterator[tuple]:
+def _shoes_records(path: str | Path) -> Iterator[tuple]:
     jsonl = None
-    # a byte that is not UTF-8 is kept as a lone surrogate, so that the
-    # fault names its line: the decoder's own offset counts within a chunk
-    with io.TextIOWrapper(
-        _binary(path, data), encoding="utf-8", errors="surrogateescape"
-    ) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.removesuffix("\n")
-            if lineno == 1 and line.startswith("\ufeff"):
-                raise MalformedRecord(f"{path}: {_BOM_FAULT}")
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            if not line.isascii():
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as err:
-                    raise MalformedRecord(f"{where}: not UTF-8: {err.reason}") from None
-            if jsonl is None:
-                jsonl = line.lstrip()[0] == "{"
-            record = _shoes_json_record if jsonl else _shoes_tsv_record
-            yield where, *record(line, where, lineno)
+    for lineno, line in read_lines(path, MalformedRecord):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        if jsonl is None:
+            jsonl = line.lstrip()[0] == "{"
+        record = _shoes_json_record if jsonl else _shoes_tsv_record
+        yield where, *record(line, where, lineno)
     if jsonl is None:
         raise MalformedRecord(f"{path}: empty file")
 
@@ -432,33 +398,36 @@ def load_dataset(
     same arguments (see the module docstring)."""
     if name not in DATASET_NAMES:
         raise DatasetError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
-    data = Path(path).read_bytes()
-    key = (
-        name,
-        hashlib.sha256(data).digest(),
-        split,
-        drop_conflict,
-        None if inventory is None else tuple(inventory),
-    )
+    digest = _sha256(path)
+    key = (name, digest, split, drop_conflict, None if inventory is None else tuple(inventory))
     with _splits_lock:
         found = _splits.get(key)
         if found is not None:
             _splits.move_to_end(key)
             return found
     if name == "Shoes":
-        found = load_shoes(path, split, drop_conflict, inventory, data=data)
+        found = load_shoes(path, split, drop_conflict, inventory)
     elif name == "MAMS":
         found = load_xml(
-            path, name, split, drop_conflict, inventory, "aspectCategories", "aspectCategory",
-            data=data,
+            path, name, split, drop_conflict, inventory, "aspectCategories", "aspectCategory"
         )
     else:
-        found = load_xml(path, name, split, drop_conflict, inventory, data=data)
-    with _splits_lock:
-        _splits[key] = found
-        if len(_splits) > SPLIT_MEMO_SIZE:
-            _splits.popitem(last=False)
+        found = load_xml(path, name, split, drop_conflict, inventory)
+    if _sha256(path) == digest:
+        with _splits_lock:
+            _splits[key] = found
+            if len(_splits) > SPLIT_MEMO_SIZE:
+                _splits.popitem(last=False)
     return found
+
+
+def _sha256(path: str | Path) -> bytes:
+    """The sha256 of the file's bytes, read a chunk at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_XML_CHUNK):
+            digest.update(chunk)
+    return digest.digest()
 
 
 def verify_official_counts(split: DatasetSplit) -> None:

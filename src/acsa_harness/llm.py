@@ -16,6 +16,7 @@ CPU, which threads would only contend for under the interpreter lock.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import os
@@ -168,6 +169,43 @@ def atomic_file(path: Path) -> Iterator[TextIO]:
         raise
 
 
+_BOM_FAULT = "the file starts with a byte-order mark; save it as UTF-8 without one"
+
+
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """The whole text of a file the harness is given. A byte-order mark or
+    bytes that are not UTF-8 raise ``error`` naming the file; an OSError
+    is raised unchanged. Line ends are kept as written, since TOML refuses
+    a bare CR."""
+    with open(path, "rb") as handle:  # cheaper than Path(path).read_bytes() per cache hit
+        data = handle.read()
+    if data.startswith(codecs.BOM_UTF8):
+        raise error(f"{path}: {_BOM_FAULT}")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8: {err.reason} at byte offset {err.start}") from None
+
+
+def read_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` of each line of a file the harness is given,
+    read one at a time, without its line end: LF, CRLF or CR only, so a
+    line may hold U+2028 or a form feed. Faults are raised as by
+    ``read_text``, a line's with its number."""
+    # a byte that is not UTF-8 is kept as a lone surrogate, so that the
+    # fault names its line: the decoder's own offset counts within a chunk
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, 1):
+            if lineno == 1 and line.startswith("\ufeff"):
+                raise error(f"{path}: {_BOM_FAULT}")
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise error(f"{path}:{lineno}: not UTF-8: {err.reason}") from None
+            yield lineno, line.removesuffix("\n")
+
+
 def write_cache_file(path: Path, request: ChatRequest, text: str) -> None:
     """Atomically persist one request/response pair in the cache format."""
     with atomic_file(path) as handle:
@@ -179,16 +217,13 @@ def read_cache_file(path: Path, expected_hash: str) -> str:
 
     A missing file raises FileNotFoundError, which callers take as a
     cache miss or a missing fixture; any other fault reading the file,
-    bytes that are not UTF-8, or a payload that fails the checks, raises
+    a fault of ``read_text``, or a payload that fails the checks, raises
     CacheCorrupt.
     """
     try:
-        payload = json.loads(path.read_bytes().decode("utf-8"))
+        payload = json.loads(read_text(path, CacheCorrupt))
     except FileNotFoundError:
         raise
-    except UnicodeDecodeError as err:
-        reason = f"not UTF-8: {err.reason} at byte offset {err.start}"
-        raise CacheCorrupt(f"{path}: unreadable cache file ({reason})") from None
     except (OSError, json.JSONDecodeError) as err:
         raise CacheCorrupt(f"{path}: unreadable cache file ({err})") from err
     if not isinstance(payload, dict):

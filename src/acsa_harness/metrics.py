@@ -12,6 +12,7 @@ them rounded half-up to two decimals.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import statistics
@@ -20,7 +21,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .llm import atomic_file
+from .llm import atomic_file, read_text
 
 
 class LengthMismatch(Exception):
@@ -86,22 +87,22 @@ def read_score_rows(path: str | Path) -> list[tuple[str, str, str, float]]:
     fourth column is not a number. Every score must be a finite number.
     """
     rows: list[tuple[str, str, str, float]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        filled = ((reader.line_num, row) for row in reader if any(cell.strip() for cell in row))
-        for i, (lineno, row) in enumerate(filled):
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-            method, model, dataset = (cell.strip() for cell in row[:3])
-            try:
-                value = float(row[3])
-            except ValueError:
-                if i == 0:
-                    continue  # header
-                raise ValueError(f"{path}:{lineno}: non-numeric score {row[3]!r}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite score {row[3]!r}")
-            rows.append((method, model, dataset, value))
+    # newline="" hands the csv module the line ends as written, as it needs
+    reader = csv.reader(io.StringIO(read_text(path, ValueError), newline=""))
+    filled = ((reader.line_num, row) for row in reader if any(cell.strip() for cell in row))
+    for i, (lineno, row) in enumerate(filled):
+        if len(row) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+        method, model, dataset = (cell.strip() for cell in row[:3])
+        try:
+            value = float(row[3])
+        except ValueError:
+            if i == 0:
+                continue  # header
+            raise ValueError(f"{path}:{lineno}: non-numeric score {row[3]!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: non-finite score {row[3]!r}")
+        rows.append((method, model, dataset, value))
     if not rows:
         raise ValueError(f"{path}: no score rows found")
     return rows

@@ -16,6 +16,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .llm import read_text
+
 _TEMPLATES = Path(__file__).with_name("templates")
 
 PLACEHOLDERS = ("<CATEGORIES>", "<REVIEW_TEXT>", "<UMR_EXAMPLES>", "<NEW_TEXT>", "<DOMAIN>")
@@ -48,7 +50,7 @@ class PromptBundle:
 
 @lru_cache(maxsize=None)
 def _template(name: str) -> str:
-    return (_TEMPLATES / f"{name}.txt").read_text("utf-8")
+    return read_text(_TEMPLATES / f"{name}.txt", PromptError)
 
 
 def baseline_template() -> str:

@@ -7,14 +7,13 @@ one JSONL record per sample plus a manifest. With the replay backend the
 whole pipeline is bit-deterministic across runs and machines.
 
 A run's memory does not grow with the answers, and apart from the
-split itself not with the number of samples either. The dataset file's
-bytes are held while they are parsed, and the parse keeps only the
-samples. Each request is built when its answer is asked for, and each
-record is written to the results file as soon as it is built. The
-exception is an HTTP run: it builds every request before the first
-answer, to submit the cache misses to the pool (see
-``ChatClient.answers``). Scoring reads the results file one line at a
-time and keeps one pair set per record.
+split itself not with the number of samples either. The dataset file is
+parsed as a stream, and the parse keeps only the samples. Each request
+is built when its answer is asked for, and each record is written to the
+results file as soon as it is built. The exception is an HTTP run: it
+builds every request before the first answer, to submit the cache misses
+to the pool (see ``ChatClient.answers``). Scoring reads the results file
+one line at a time and keeps one pair set per record.
 
 Answers come from ``ChatClient.answers`` in sample order; extraction,
 mapping and record building all run on the calling thread.
@@ -32,7 +31,6 @@ another's.
 
 from __future__ import annotations
 
-import codecs
 import hashlib
 import json
 import logging
@@ -58,6 +56,8 @@ from .llm import (
     LlmError,
     ReplayBackend,
     atomic_file,
+    read_lines,
+    read_text,
 )
 from .prompts import build_baseline_prompt, build_umr_prompt, template_version
 from .umr import (
@@ -212,30 +212,23 @@ class RunConfig:
 
 
 def _read_config_file(path: str | Path) -> dict:
-    """The TOML table of a config or grid file, which must be UTF-8
-    without a byte-order mark.
+    """The TOML table of a config or grid file, read by ``read_text``.
 
     Only the TOML syntax is checked here; ``RunConfig.update`` checks the
     keys and the value types, so a table or a date is refused there.
     """
     import tomllib  # here, so that a run built from flags alone never loads it
 
-    # decoded from bytes, as tomllib.load does: read_text would turn a bare
-    # CR, which TOML refuses, into a line end
-    data = Path(path).read_bytes()
-    if data.startswith(codecs.BOM_UTF8):
-        raise ConfigError("the file starts with a byte-order mark; save it as UTF-8 without one")
     try:
-        return tomllib.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"not UTF-8: {err.reason} at byte offset {err.start}") from None
+        return tomllib.loads(read_text(path, ConfigError))
     except tomllib.TOMLDecodeError as err:
-        raise ConfigError(str(err)) from None
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+    table = _read_config_file(path)
     try:
-        config = RunConfig.from_mapping(_read_config_file(path))
+        config = RunConfig.from_mapping(table)
     except ConfigError as err:
         raise ConfigError(f"{path}: {err}") from None
     if overrides:
@@ -253,8 +246,8 @@ def load_grid(path: str | Path) -> list[tuple[str, RunConfig]]:
     not write the same file, nor share method, model_id and dataset, which
     would give the scores file two rows for one cell.
     """
+    shared = _read_config_file(path)
     try:
-        shared = _read_config_file(path)
         cells = shared.pop("cells", None)
         if not isinstance(cells, dict) or not cells:
             raise ConfigError("a grid needs at least one [cells.NAME] table")
@@ -364,13 +357,12 @@ def _jobs(config: RunConfig, split: ds.DatasetSplit) -> Iterator[_Job]:
         domain = ds.DOMAIN_BY_DATASET[config.dataset]
         exemplars = []
         for path in map(Path, config.exemplar_paths):
+            text = read_text(path, UmrError)
             try:
-                exemplars.append(_exemplar(path.name, path.read_text("utf-8")))
+                exemplars.append(_exemplar(path.name, text))
             except UmrError as err:
                 err.args = (f"{path}: {err}",)  # the message names the entry, not the file
                 raise
-            except UnicodeDecodeError as err:  # read_text decodes the whole file at once
-                raise UmrError(f"{path}: not UTF-8: {err.reason} at byte offset {err.start}")
         draws = exemplar_draw_indices(config.seed, len(split.samples), len(exemplars))
 
         def job(i: int, sample: ds.Sample) -> _Job:
@@ -544,25 +536,25 @@ def run(config: RunConfig) -> RunSummary:
 
 def read_results(path: str | Path) -> Iterator[tuple[int, str, dict]]:
     """Yield ``(line number, sample_id, record)`` for each record of a
-    results JSONL file, in file order, reading one line at a time."""
+    results JSONL file, in file order, read one line at a time by
+    ``read_lines``."""
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise RunDataError(f"{path}:{lineno}: invalid JSON ({err})") from err
-            if not isinstance(record, dict):
-                raise RunDataError(f"{path}:{lineno}: record is not a JSON object")
-            sid = record.get("sample_id")
-            if not isinstance(sid, str):
-                raise RunDataError(f"{path}:{lineno}: record without sample_id")
-            if sid in seen:
-                raise RunDataError(f"{path}:{lineno}: duplicate sample_id {sid!r}")
-            seen.add(sid)
-            yield lineno, sid, record
+    for lineno, line in read_lines(path, RunDataError):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise RunDataError(f"{path}:{lineno}: invalid JSON ({err})") from err
+        if not isinstance(record, dict):
+            raise RunDataError(f"{path}:{lineno}: record is not a JSON object")
+        sid = record.get("sample_id")
+        if not isinstance(sid, str):
+            raise RunDataError(f"{path}:{lineno}: record without sample_id")
+        if sid in seen:
+            raise RunDataError(f"{path}:{lineno}: duplicate sample_id {sid!r}")
+        seen.add(sid)
+        yield lineno, sid, record
 
 
 def _pair_set(pairs, pair_of: dict, where: str) -> frozenset:

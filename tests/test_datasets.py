@@ -2,6 +2,7 @@ import json
 import random
 import re
 import tracemalloc
+from collections import OrderedDict
 from pathlib import Path
 from xml.etree import ElementTree as ET
 from xml.sax.saxutils import escape, quoteattr
@@ -375,27 +376,31 @@ class TestStreamedXmlLoader:
             load_xml(tmp_path / "missing.xml", name, **tags)
 
     @pytest.mark.parametrize("layout", ["semeval", "mams", "shoes"])
-    def test_parse_peak_stays_near_the_split_size(self, tmp_path, layout):
+    def test_parse_peak_stays_near_the_split_size(self, tmp_path, monkeypatch, layout):
         # the whole tree of a parsed file, or the whole text of a Shoes
         # file, is several times the size of the samples kept from it; a
-        # streamed parse holds one sentence or one line at a time
+        # streamed parse holds one sentence or one line at a time, through
+        # its loader and through load_dataset alike
         n = 906 if layout == "shoes" else 3000
         path = tmp_path / "split.data"
         path.write_text(
             {"semeval": semeval_xml, "mams": mams_xml, "shoes": shoes_jsonl}[layout](n), "utf-8"
         )
-        tracemalloc.start()
-        try:
-            if layout == "shoes":
-                split = load_shoes(path)
-            else:
-                name, tags = ("Restaurant16", {}) if layout == "semeval" else ("MAMS", MAMS_TAGS)
-                split = load_xml(path, name, drop_conflict=True, **tags)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(split.samples) == n
-        assert peak < 1.5 * held
+        if layout == "shoes":
+            name, direct = "Shoes", lambda: load_shoes(path)
+        else:
+            name, tags = ("Restaurant16", {}) if layout == "semeval" else ("MAMS", MAMS_TAGS)
+            direct = lambda: load_xml(path, name, drop_conflict=True, **tags)
+        monkeypatch.setattr(ds, "_splits", OrderedDict())  # so that load_dataset parses
+        for load in (direct, lambda: load_dataset(name, path, drop_conflict=True)):
+            tracemalloc.start()
+            try:
+                split = load()
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(split.samples) == n
+            assert peak < 1.5 * held
 
 
 class TestShoes:
@@ -719,6 +724,25 @@ class TestSplitMemo:
         after = load_dataset("Restaurant16", path)
         assert before.samples[0].text.endswith("was rude.")
         assert after.samples[0].text.endswith("was kind.")
+        assert parses == ["rest.xml", "rest.xml"]
+
+    def test_file_rewritten_during_its_parse_is_parsed_again(
+        self, tmp_path, monkeypatch, parses
+    ):
+        path = tmp_path / "rest.xml"
+        path.write_text(SEMEVAL_XML, "utf-8")
+        parse = ds.load_xml
+
+        def rewritten_first(*args, **kwargs):
+            # lands after load_dataset hashed the file and before the parse
+            path.write_text(SEMEVAL_XML.replace("was rude", "was kind"), "utf-8")
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(ds, "load_xml", rewritten_first)
+        assert load_dataset("Restaurant16", path).samples[0].text.endswith("was kind.")
+        monkeypatch.setattr(ds, "load_xml", parse)
+        path.write_text(SEMEVAL_XML, "utf-8")  # the content the first call hashed
+        assert load_dataset("Restaurant16", path).samples[0].text.endswith("was rude.")
         assert parses == ["rest.xml", "rest.xml"]
 
     def test_other_arguments_miss(self, tmp_path, parses):

@@ -157,8 +157,7 @@ class TestChatClient:
             client.chat(request)
         offset = path.read_bytes().index(b"\xe9")
         assert str(caught.value) == (
-            f"{path}: unreadable cache file "
-            f"(not UTF-8: invalid continuation byte at byte offset {offset})"
+            f"{path}: not UTF-8: invalid continuation byte at byte offset {offset}"
         )
         assert backend.calls == 1
 

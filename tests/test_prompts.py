@@ -1,7 +1,9 @@
+import re
 from pathlib import Path
 
 import pytest
 
+from acsa_harness import prompts
 from acsa_harness.prompts import (
     PLACEHOLDERS,
     SYSTEM_INSTRUCTION,
@@ -42,6 +44,24 @@ class TestTemplateFidelity:
             "<DOMAIN>": "<DOMAIN>",
         }
         assert substitute(umr_template(), identity) == umr_template()
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"\xef\xbb\xbfCategories: <CATEGORIES>", "the file starts with a byte-order mark"),
+            (b"Categories: caf\xe9 <CATEGORIES>", "not UTF-8: invalid continuation byte at byte"),
+        ],
+        ids=["bom", "not-utf8"],
+    )
+    def test_template_file_is_read_as_utf8_without_bom(self, tmp_path, monkeypatch, data, message):
+        (tmp_path / "baseline.txt").write_bytes(data)
+        monkeypatch.setattr(prompts, "_TEMPLATES", tmp_path)
+        prompts._template.cache_clear()
+        try:
+            with pytest.raises(PromptError, match=f"^{re.escape(str(tmp_path / 'baseline.txt'))}: {message}"):
+                baseline_template()
+        finally:
+            prompts._template.cache_clear()
 
     def test_baseline_fixed_sentences_present(self):
         text = baseline_template()

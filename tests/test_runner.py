@@ -994,8 +994,7 @@ class TestRunFatalFaults:
         fixture.write_bytes(b'{"request_hash": "caf\xe9"}')
         assert cli.main(run_argv(config)) == 2
         assert capsys.readouterr().err == (
-            f"error: {fixture}: unreadable cache file "
-            "(not UTF-8: invalid continuation byte at byte offset 21)\n"
+            f"error: {fixture}: not UTF-8: invalid continuation byte at byte offset 21\n"
         )
         assert_nothing_written(config)
 
@@ -1194,6 +1193,13 @@ class TestCli:
         "exemplar-utf8": ": not UTF-8: invalid start byte at byte offset 20011",
         "jsonl-bom": ": the file starts with a byte-order mark; save it as UTF-8 without one",
         "inventory-bom": ": the file starts with a byte-order mark; save it as UTF-8 without one",
+        "exemplar-bom": ": the file starts with a byte-order mark; save it as UTF-8 without one",
+        "results-utf8": ":2: not UTF-8: invalid continuation byte",
+        "results-bom": ": the file starts with a byte-order mark; save it as UTF-8 without one",
+        # through both acsa report and acsa anova
+        "scores-utf8": ": not UTF-8: invalid continuation byte at byte offset 39",
+        "scores-bom": ": the file starts with a byte-order mark; save it as UTF-8 without one",
+        "parse-umr-utf8": ":2: not UTF-8: invalid continuation byte",
     }
 
     @pytest.mark.parametrize("case", LOADING_FAULTS)
@@ -1235,17 +1241,39 @@ class TestCli:
                 named = inventory
                 inventory.write_bytes(b"FOOD#QUALITY\r\n" * 1430 + b"\xffOOD\n")
             argv += ["--inventory", str(inventory)]
+        elif case.startswith("results"):
+            named = tmp_path / "results.jsonl"
+            line = '{"sample_id": "t:0", "pairs": []}\n'
+            if case == "results-bom":
+                named.write_text("\ufeff" + line, "utf-8")
+            else:
+                named.write_bytes(line.encode() + b'{"sample_id": "caf\xe9"}\n')
+            argv[2] = str(named)
+        elif case.startswith("scores"):
+            named = tmp_path / "scores.csv"
+            if case == "scores-bom":
+                named.write_text("\ufeffmethod,model,dataset,score\nbaseline,m,Laptop16,50\n", "utf-8")
+            else:
+                named.write_bytes(b"method,model,dataset,score\nbaseline,caf\xe9,Laptop16,50.0\n")
+            argv = ["report", "--cells", str(named)]
+        elif case == "parse-umr-utf8":
+            named = tmp_path / "doc.umr"
+            named.write_bytes(b"::snt One.\n(s1 / caf\xe9)\n")
+            argv = ["parse-umr", str(named)]
         else:
             named = Path(config.exemplar_paths[0])
             if case == "exemplar":
                 named.write_text("::snt One.\n(s1a thing)", "utf-8")
+            elif case == "exemplar-bom":
+                named.write_text("\ufeff::snt One.\n(s1 / thing)", "utf-8")
             else:
                 named.write_bytes(b"::snt One.\n" + b"\r\n" * 10000 + b"\xff")
             argv = ["run", "--config", str(write_config_file(config, tmp_path / "run.toml"))]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {named}{self.LOADING_FAULTS[case]}\n"
-        assert err.count(named.name) == 1
+        for argv in [argv, ["anova", *argv[1:]]] if argv[0] == "report" else [argv]:
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {named}{self.LOADING_FAULTS[case]}\n"
+            assert err.count(named.name) == 1
         assert_nothing_written(config)
 
     @pytest.mark.parametrize("method", ["baseline", "umr"])
