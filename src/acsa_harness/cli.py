@@ -15,6 +15,7 @@ import sys
 from . import datasets as ds
 from . import metrics, runner, stats, umr
 from .llm import AuthError, ChatClient, LlmError, read_lines
+from .prompts import PromptError
 from .runner import ConfigError, RunConfig, RunDataError, load_config
 
 EXIT_OK = 0
@@ -272,6 +273,7 @@ def main(argv=None) -> int:
         stats.StatsError,
         metrics.LengthMismatch,
         RunDataError,
+        PromptError,
         LlmError,
         ValueError,
         OSError,

@@ -187,11 +187,18 @@ class PreparedInventory:
     wider than the longest folded entry, so a carry out of an entry's
     positions stops in its own lane, on a bit ``full`` clears.
 
-    A run prepares its category inventory once; nothing changes it
-    afterwards, so one instance can be shared across threads.
+    ``canonicalize`` keeps its mapping decisions in the instance:
+    ``categories`` maps a folded category to its ``(entry, score)``, and
+    ``polarities`` a ``(polarity text, cutoff)`` to its Polarity or None.
+    A run prepares one instance, so each distinct spelling is searched
+    once per run and again by the next run. The instance can be shared
+    across threads: two threads that decide the same key at once store
+    equal values.
     """
 
-    __slots__ = ("entries", "lengths", "exact", "masks", "full", "width")
+    __slots__ = (
+        "entries", "lengths", "exact", "masks", "full", "width", "categories", "polarities"
+    )
 
     def __init__(self, inventory):
         self.entries = tuple((entry, _fold(entry)) for entry in inventory)
@@ -206,6 +213,8 @@ class PreparedInventory:
             self.full |= ((1 << len(text)) - 1) << shift
             for i, ch in enumerate(text, shift):
                 self.masks[ch] = self.masks.get(ch, 0) | 1 << i
+        self.categories: dict[str, tuple[str | None, float]] = {}
+        self.polarities: dict[tuple[str, float], Polarity | None] = {}
 
 
 def _lcs_lengths(folded: str, inventory: PreparedInventory) -> list[int]:
@@ -312,38 +321,31 @@ def canonicalize(
     raw_pairs,
     inventory: PreparedInventory,
     cutoff: float = DEFAULT_CUTOFF,
-    memo: dict | None = None,
 ) -> tuple[frozenset[Pair], list[MappingOutcome]]:
     """Map raw pairs onto the prepared inventory, dropping what cannot be mapped.
 
     Returns the deduplicated pair set plus one MappingOutcome per input
-    pair, preserving full provenance for the results file.
-
-    ``memo`` keeps each mapping decision for the next call with the same
-    inventory: a folded category maps to its ``(entry, score)``, and a
-    ``(polarity text, cutoff)`` to its Polarity or None. A run passes one
-    dict to every call, so each distinct spelling is searched once per
-    run.
+    pair, preserving full provenance for the results file. Each decision
+    is kept in ``inventory`` for the next call with it.
     """
     if not 0.0 <= cutoff <= 1.0:
         raise ValueError(f"cutoff must be in [0, 1], got {cutoff}")
-    if memo is None:
-        memo = {}
+    categories, polarities = inventory.categories, inventory.polarities
     outcomes: list[MappingOutcome] = []
     mapped: list[Pair] = []
     for raw in raw_pairs:
         folded = _fold(raw.category_text)
-        found = memo.get(folded)
+        found = categories.get(folded)
         if found is None:
-            found = memo[folded] = _best_category(folded, inventory)
+            found = categories[folded] = _best_category(folded, inventory)
         entry, score = found
         if entry is None or score < cutoff:
             outcomes.append(MappingOutcome(raw, None, score, "below-cutoff"))
             continue
         key = (raw.polarity_text, cutoff)
-        if key not in memo:
-            memo[key] = normalize_polarity(raw.polarity_text, cutoff)
-        polarity = memo[key]
+        if key not in polarities:
+            polarities[key] = normalize_polarity(raw.polarity_text, cutoff)
+        polarity = polarities[key]
         if polarity is None:
             outcomes.append(MappingOutcome(raw, None, score, "bad-polarity"))
             continue

@@ -21,6 +21,7 @@ from .llm import read_text
 _TEMPLATES = Path(__file__).with_name("templates")
 
 PLACEHOLDERS = ("<CATEGORIES>", "<REVIEW_TEXT>", "<UMR_EXAMPLES>", "<NEW_TEXT>", "<DOMAIN>")
+_PLACEHOLDER = re.compile("|".join(map(re.escape, PLACEHOLDERS)))
 
 # Fixed framing shared by both methods so that the user prompt is the only
 # varying factor between them.
@@ -70,19 +71,14 @@ def template_version() -> str:
 
 
 def substitute(template: str, values: Mapping[str, str]) -> str:
-    """Replace all placeholder tokens simultaneously.
+    """Replace the placeholder tokens found in ``values`` simultaneously;
+    any other token is left as written.
 
     A single pass means substituted values are never rescanned, so a value
     that happens to contain a placeholder token cannot trigger a second
     substitution.
     """
-    return _pattern(tuple(values)).sub(lambda m: values[m.group(0)], template)
-
-
-@lru_cache(maxsize=16)
-def _pattern(placeholders: tuple[str, ...]) -> re.Pattern:
-    """The alternation of ``placeholders``, compiled once per tuple."""
-    return re.compile("|".join(map(re.escape, placeholders)))
+    return _PLACEHOLDER.sub(lambda m: values.get(m[0], m[0]), template)
 
 
 def render_categories(categories: Sequence[str]) -> str:

@@ -18,15 +18,14 @@ one line at a time and keeps one pair set per record.
 Answers come from ``ChatClient.answers`` in sample order; extraction,
 mapping and record building all run on the calling thread.
 
-A process prepares each exemplar file and each category inventory once:
-the formatted exemplar block is kept under the file's name and content,
-the prepared inventory under the split's category tuple, so the cells of
-one ``acsa grid`` share them (``load_grid`` reads the grid file). The
-split itself is kept by ``datasets.load_dataset`` under the file's
-content. A run maps each distinct raw spelling once: one dict, made by
-``run`` and dropped with it, keeps the mapping decisions
-(``postprocess.canonicalize``), so that no run's search cost hides in
-another's.
+A process prepares each exemplar file once: the formatted exemplar
+block is kept under the file's name and content, so the cells of one
+``acsa grid`` share it (``load_grid`` reads the grid file). The split
+itself is kept by ``datasets.load_dataset`` under the file's content.
+Each run prepares its own category inventory, which keeps that run's
+mapping decisions (``postprocess.canonicalize``) and is dropped with
+it: a run maps each distinct raw spelling once, and no run's search
+cost hides in another's.
 """
 
 from __future__ import annotations
@@ -79,10 +78,8 @@ TRANSPORT_FAILURE_LIMIT = 0.10
 METHODS = ("baseline", "umr")
 BACKENDS = ("http", "replay")
 
-# Most prepared exemplar files and category inventories one process keeps.
-# The paper's grid uses five exemplar files and one inventory per dataset.
+# Most prepared exemplar files one process keeps; the paper's grid uses five.
 EXEMPLAR_MEMO_SIZE = 32
-INVENTORY_MEMO_SIZE = 16
 
 
 class ConfigError(Exception):
@@ -335,12 +332,6 @@ def _exemplar(name: str, text: str) -> tuple[str, str]:
     return doc.source_id, format_exemplars(doc)
 
 
-@lru_cache(maxsize=INVENTORY_MEMO_SIZE)
-def _prepared_inventory(categories: tuple[str, ...]) -> pp.PreparedInventory:
-    """One read-only PreparedInventory per distinct category tuple."""
-    return pp.PreparedInventory(categories)
-
-
 def _jobs(config: RunConfig, split: ds.DatasetSplit) -> Iterator[_Job]:
     """Build each sample's request when it is asked for, in sample order.
 
@@ -405,7 +396,6 @@ def _process_job(
     answer: ChatResponse | LlmError,
     inventory: pp.PreparedInventory,
     cutoff: float,
-    memo: dict,
 ):
     record = {
         "schema_version": RESULTS_SCHEMA_VERSION,
@@ -429,7 +419,7 @@ def _process_job(
     except pp.NoListFound:
         record["format_failure"] = True
         raw_pairs = []
-    pairs, outcomes = pp.canonicalize(raw_pairs, inventory, cutoff, memo)
+    pairs, outcomes = pp.canonicalize(raw_pairs, inventory, cutoff)
     record["raw_pairs"] = [[r.category_text, r.polarity_text] for r in raw_pairs]
     record["outcomes"] = [_outcome_to_json(o) for o in outcomes]
     record["pairs"] = _pairs_to_json(pairs)
@@ -463,7 +453,7 @@ def run(config: RunConfig) -> RunSummary:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     split = _load_split(config)
-    inventory = _prepared_inventory(split.categories)
+    inventory = pp.PreparedInventory(split.categories)
     # the answers read their requests ahead of the records; tee keeps the
     # jobs in between, and no more
     jobs, ahead = tee(_jobs(config, split))
@@ -475,12 +465,11 @@ def run(config: RunConfig) -> RunSummary:
     results_path = Path(config.output_path)
     digest = hashlib.sha256()
     n_cache_hits = n_dropped = n_errors = n_format = 0
-    memo: dict = {}  # this run's mapping decisions, for pp.canonicalize
     with atomic_file(results_path) as out, closing(
         client.answers(job.request for job in ahead)
     ) as answers:
         for job, answer in zip(jobs, answers):
-            record, backend, dropped = _process_job(job, answer, inventory, config.cutoff, memo)
+            record, backend, dropped = _process_job(job, answer, inventory, config.cutoff)
             line = _RECORD_JSON.encode(record) + "\n"
             out.write(line)
             digest.update(line.encode("ascii"))

@@ -766,14 +766,16 @@ class TestCanonicalize:
 
     def test_shared_memo_gives_the_outcomes_of_fresh_calls(self):
         # repeated spellings and polarities, and cutoffs that disagree on
-        # the same polarity text, through one memo
+        # the same polarity text, through one inventory that keeps the
+        # decisions, against a fresh inventory per call
         rng = random.Random(32)
         spellings = ["food quality", "Food  Quality", "servce", "foo", "FOOD#QUALITY", "positive"]
         labels = ["positive", "Positive", "positve", "mixed", "neutral", "pos"]
         inventory = PreparedInventory(RESTAURANT_INVENTORY)
-        memo: dict = {}
         for _ in range(60):
             raw = [RawPair(rng.choice(spellings), rng.choice(labels)) for _ in range(4)]
             cutoff = rng.choice([0.3, DEFAULT_CUTOFF, 0.9])
-            assert canonicalize(raw, inventory, cutoff, memo) == canonicalize(raw, inventory, cutoff)
-        assert len(memo) <= len(spellings) + 3 * len(labels)
+            fresh = canonicalize(raw, PreparedInventory(RESTAURANT_INVENTORY), cutoff)
+            assert canonicalize(raw, inventory, cutoff) == fresh
+        assert len(inventory.categories) <= len({_fold(s) for s in spellings})
+        assert len(inventory.polarities) <= 3 * len(labels)

@@ -164,9 +164,11 @@ class TestRendering:
         )
 
     def test_substitute_single_pass(self):
-        # a substituted value containing a placeholder token is not rescanned
-        out = substitute("A <X> B", {"<X>": "<X> and more"})
-        assert out == "A <X> and more B"
+        # a substituted value containing a placeholder token is not rescanned,
+        # and a placeholder without a value is left as written
+        values = {"<DOMAIN>": "<NEW_TEXT> and more", "<NEW_TEXT>": "new"}
+        out = substitute("A <DOMAIN> B <NEW_TEXT> <CATEGORIES> <X>", values)
+        assert out == "A <NEW_TEXT> and more B new <CATEGORIES> <X>"
 
     def test_template_version_stable(self):
         assert template_version() == template_version()

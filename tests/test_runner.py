@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from helpers import GRID_DIGESTS, count_parses, e2e_grid_toml
 
-from acsa_harness import cli, llm, runner
+from acsa_harness import cli, llm, prompts, runner
 from acsa_harness import postprocess as pp
 from acsa_harness.datasets import load_xml
 from acsa_harness.llm import (
@@ -1200,10 +1200,11 @@ class TestCli:
         "scores-utf8": ": not UTF-8: invalid continuation byte at byte offset 39",
         "scores-bom": ": the file starts with a byte-order mark; save it as UTF-8 without one",
         "parse-umr-utf8": ":2: not UTF-8: invalid continuation byte",
+        "template-bom": ": the file starts with a byte-order mark; save it as UTF-8 without one",
     }
 
     @pytest.mark.parametrize("case", LOADING_FAULTS)
-    def test_loading_fault_names_the_file_once(self, tmp_path, capsys, case):
+    def test_loading_fault_names_the_file_once(self, tmp_path, capsys, monkeypatch, request, case):
         config = make_config(tmp_path, "umr" if case.startswith("exemplar") else "baseline")
         named = Path(config.dataset_path)
         xml = {
@@ -1260,6 +1261,14 @@ class TestCli:
             named = tmp_path / "doc.umr"
             named.write_bytes(b"::snt One.\n(s1 / caf\xe9)\n")
             argv = ["parse-umr", str(named)]
+        elif case == "template-bom":
+            named = tmp_path / "templates" / "baseline.txt"
+            named.parent.mkdir()
+            named.write_text("\ufeff" + prompts.baseline_template(), "utf-8")
+            prompts._template.cache_clear()
+            request.addfinalizer(prompts._template.cache_clear)
+            monkeypatch.setattr(prompts, "_TEMPLATES", named.parent)
+            argv = run_argv(config)
         else:
             named = Path(config.exemplar_paths[0])
             if case == "exemplar":
@@ -1408,14 +1417,13 @@ class TestCli:
 
 
 class TestPreparationMemos:
-    """Exemplar files and category inventories are prepared once per
-    process. Each test clears both memos first, so test order cannot
-    matter."""
+    """Exemplar files are prepared once per process, category inventories
+    once per run. Each test clears the exemplar memo first, so test order
+    cannot matter."""
 
     @pytest.fixture(autouse=True)
     def clear_memos(self):
         runner._exemplar.cache_clear()
-        runner._prepared_inventory.cache_clear()
 
     def test_grid_parses_each_exemplar_file_once(self, tmp_path, monkeypatch, capsys):
         parsed = []
@@ -1484,43 +1492,30 @@ class TestPreparationMemos:
         write_fixtures(config)
         assert run(config).n_transport_errors == 0
 
-    def test_equal_categories_share_one_inventory(self, tmp_path, monkeypatch):
+    def test_each_run_prepares_its_own_inventory(self, tmp_path, monkeypatch):
         used = []
         process = runner._process_job
 
-        def recording(job, answer, inventory, cutoff, memo):
+        def recording(job, answer, inventory, cutoff):
             used.append(inventory)
-            return process(job, answer, inventory, cutoff, memo)
+            return process(job, answer, inventory, cutoff)
 
         monkeypatch.setattr(runner, "_process_job", recording)
-        inventory = tmp_path / "inventory.txt"
-        inventory.write_text("FOOD#QUALITY\nSERVICE#GENERAL\nDRINKS#PRICES\nAMBIENCE\n", "utf-8")
-        configs = [
-            make_config(tmp_path),
-            make_config(tmp_path, "umr"),
-            make_config(
-                tmp_path, inventory_path=str(inventory), output_path=str(tmp_path / "other.jsonl")
-            ),
-        ]
+        configs = [make_config(tmp_path), make_config(tmp_path), make_config(tmp_path, "umr")]
         prepared = []
         for config in configs:
             used.clear()
             assert run(config).n_samples == 4  # each answer a missing fixture
             assert len(used) == 4 and all(item is used[0] for item in used)
             prepared.append(used[0])
-        assert prepared[0] is prepared[1]
-        assert prepared[2] is not prepared[0]
-        assert runner._prepared_inventory.cache_info().currsize == 2
+        assert len({id(item) for item in prepared}) == 3
+        assert all(item.entries == prepared[0].entries for item in prepared)
 
     def test_memos_are_bounded(self):
         for i in range(runner.EXEMPLAR_MEMO_SIZE + 3):
             runner._exemplar(f"ex{i}.umr", f"::snt Sentence {i}.\n(s / thing)")
         info = runner._exemplar.cache_info()
         assert (info.maxsize, info.currsize) == (runner.EXEMPLAR_MEMO_SIZE,) * 2
-        for i in range(runner.INVENTORY_MEMO_SIZE + 3):
-            runner._prepared_inventory((f"CATEGORY#{i}",))
-        info = runner._prepared_inventory.cache_info()
-        assert (info.maxsize, info.currsize) == (runner.INVENTORY_MEMO_SIZE,) * 2
 
 
 class TestMappingMemo:
